@@ -15,19 +15,11 @@
 // and 129..256 as a 4-socket NUMA machine (the hierarchical sharer mask's
 // 128/256-core scenario family the paper's hardware could never express).
 //
-// A second sweep family measures the epoch-parallel scheduler
-// (Machine::set_host_threads): the good-mode sweep — the local-dominated
-// workloads the conservative-lookahead design overlaps — at several
-// simulated core counts and host-thread counts, asserting the simulated
-// access totals stay bit-identical to serial. Wall-clock speedup is only
-// expressible when the host actually has CPUs to spare, so the artifact
-// records host_cpus and the speedup assertion is opt-in
-// (--assert-parallel-speedup) for runners known to be multi-core.
-//
-// Results are written to BENCH_sim.json (schema fsml-bench-sim-v3; rows
-// carry the socket count, host-thread count and workload family); CI runs
-// this binary on every push and uploads the artifact, so regressions show
-// up as a trend break rather than an anecdote.
+// Results are written to BENCH_sim.json (schema fsml-bench-sim-v4): a host
+// block (CPUs, build type — the same binary's numbers vary about 3x between
+// hosts) and one row per core count carrying its socket count. CI runs this
+// binary on every push and uploads the artifact, so regressions show up as
+// a trend break rather than an anecdote.
 //
 // Options (beyond bench_common.hpp's standard ones):
 //   --cores=1,8,16,32,128,256  simulated core counts to sweep (1..256;
@@ -35,13 +27,6 @@
 //   --reps=2            timed repetitions per configuration (best is kept)
 //   --out=BENCH_sim.json  JSON artifact path (empty string disables)
 //   --no-reference      skip the linear-scan baseline (faster CI tracking)
-//   --par-cores=32,128,256     simulated core counts for the parallel sweep
-//   --no-parallel       skip the parallel sweep entirely
-//   --host-threads=1,2,4,8     host-thread counts for the parallel sweep
-//   --assert-parallel-speedup=X  fail unless some parallel row at the
-//                          smallest --par-cores point reaches X times the
-//                          serial good-mode throughput (0 = off; only
-//                          meaningful on hosts with enough CPUs)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -71,9 +56,6 @@ std::uint64_t retired_accesses(const sim::RawCounters& c) {
          c.get(sim::RawEvent::kAtomicsRetired);
 }
 
-/// One full mini-program sweep at `cores` simulated cores. The sweep is the
-/// collection workload in miniature: every multi-threaded trainer in every
-/// mode it supports, smallest default problem size.
 /// Machine for a sweep point: single socket up to 64 cores (unchanged from
 /// the v1 sweep), 2 sockets up to 128, 4 sockets up to 256.
 sim::MachineConfig sweep_machine(std::uint32_t cores) {
@@ -87,20 +69,14 @@ sim::MachineConfig sweep_machine(std::uint32_t cores) {
   return sim::MachineConfig::numa(sockets, cores / sockets);
 }
 
-/// Which trainer modes a sweep covers: the full collection grid, or the
-/// good-mode (local-dominated) subset the parallel scheduler overlaps.
-enum class SweepWorkload { kAll, kGood };
-
+/// One full mini-program sweep at `cores` simulated cores. The sweep is the
+/// collection workload in miniature: every multi-threaded trainer in every
+/// mode it supports, smallest default problem size.
 SweepResult run_sweep(std::uint32_t cores, bool use_directory, int reps,
-                      std::uint64_t seed, SweepWorkload workload,
-                      std::uint32_t host_threads = 1) {
+                      std::uint64_t seed) {
   sim::MachineConfig machine = sweep_machine(cores);
   machine.num_cores = cores;
-  if (workload == SweepWorkload::kAll) {
-    // The directory-vs-scan comparison forces each protocol explicitly;
-    // parallel rows keep the auto-select policy (directory above 2 cores).
-    machine.use_coherence_directory = use_directory;
-  }
+  machine.use_coherence_directory = use_directory;
 
   SweepResult best;
   for (int rep = 0; rep < reps; ++rep) {
@@ -110,8 +86,6 @@ SweepResult run_sweep(std::uint32_t cores, bool use_directory, int reps,
       for (const trainers::Mode mode :
            {trainers::Mode::kGood, trainers::Mode::kBadFs,
             trainers::Mode::kBadMa}) {
-        if (workload == SweepWorkload::kGood && mode != trainers::Mode::kGood)
-          continue;
         if (mode == trainers::Mode::kBadMa && !program->supports_bad_ma())
           continue;
         trainers::TrainerParams params;
@@ -119,7 +93,6 @@ SweepResult run_sweep(std::uint32_t cores, bool use_directory, int reps,
         params.threads = cores;
         params.size = program->default_sizes().front();
         params.seed = seed;
-        params.sim_host_threads = host_threads;
         const trainers::TrainerRun run =
             trainers::run_trainer(*program, params, machine);
         accesses += retired_accesses(run.raw);
@@ -152,12 +125,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_int("seed", 42));
   const std::string out = cli.get("out", "BENCH_sim.json");
   const bool reference = !cli.has("no-reference");
-  const std::vector<std::int64_t> par_cores =
-      cli.get_int_list("par-cores", {32, 128, 256}, 1, 256);
-  const std::vector<std::int64_t> host_threads_list =
-      cli.get_int_list("host-threads", {1, 2, 4, 8}, 1, 1024);
-  const double assert_speedup =
-      cli.get_double("assert-parallel-speedup", 0.0);
   const unsigned host_cpus = std::max(1u, std::thread::hardware_concurrency());
 
   // Satellite regression guard: the 1-core directory row of
@@ -178,29 +145,30 @@ int main(int argc, char** argv) {
   for (std::size_t col = 1; col < table.num_columns(); ++col)
     table.set_align(col, util::Align::kRight);
 
-  std::string json = "{\n  \"schema\": \"fsml-bench-sim-v3\",\n  \"reps\": " +
-                     std::to_string(reps) + ",\n  \"host_cpus\": " +
-                     std::to_string(host_cpus) + ",\n  \"results\": [";
+  std::string json = "{\n  \"schema\": \"fsml-bench-sim-v4\",\n"
+                     "  \"host\": {\"cpus\": " +
+                     std::to_string(host_cpus) + ", \"build_type\": \"" +
+                     FSML_BUILD_TYPE + "\"},\n  \"reps\": " +
+                     std::to_string(reps) + ",\n  \"results\": [";
   bool first = true;
   for (const std::int64_t cores64 : cores_list) {
     FSML_CHECK_MSG(cores64 >= 1 && cores64 <= 256,
                    "--cores entries must be in 1..256");
     const auto cores = static_cast<std::uint32_t>(cores64);
     const std::uint32_t sockets = sweep_machine(cores).topology.sockets;
-    const SweepResult dir = run_sweep(cores, /*use_directory=*/true, reps,
-                                      seed, SweepWorkload::kAll);
+    const SweepResult dir =
+        run_sweep(cores, /*use_directory=*/true, reps, seed);
     std::vector<std::string> row{std::to_string(cores),
                                  std::to_string(dir.accesses),
                                  util::auto_time(dir.seconds),
                                  std::to_string(static_cast<std::uint64_t>(
                                      dir.accesses / dir.seconds))};
-    double scan_seconds = 0.0;
+    char entry[512];
     if (reference) {
-      const SweepResult scan = run_sweep(cores, /*use_directory=*/false, reps,
-                                         seed, SweepWorkload::kAll);
+      const SweepResult scan =
+          run_sweep(cores, /*use_directory=*/false, reps, seed);
       FSML_CHECK_MSG(scan.accesses == dir.accesses,
                      "directory and scan must simulate identical sweeps");
-      scan_seconds = scan.seconds;
       char speedup[32];
       std::snprintf(speedup, sizeof speedup, "%.2fx",
                     scan.seconds / dir.seconds);
@@ -208,26 +176,19 @@ int main(int argc, char** argv) {
       row.push_back(std::to_string(
           static_cast<std::uint64_t>(scan.accesses / scan.seconds)));
       row.push_back(speedup);
-    }
-    table.add_row(row);
-
-    char entry[512];
-    if (reference) {
       std::snprintf(entry, sizeof entry,
                     "\n    {\"cores\": %u, \"sockets\": %u, "
-                    "\"host_threads\": 1, \"workload\": \"all\", "
                     "\"accesses\": %llu, "
                     "\"directory_seconds\": %.6f, \"scan_seconds\": %.6f, "
                     "\"directory_accesses_per_sec\": %.0f, "
                     "\"scan_accesses_per_sec\": %.0f, \"speedup\": %.3f}",
                     cores, sockets,
                     static_cast<unsigned long long>(dir.accesses),
-                    dir.seconds, scan_seconds, dir.accesses / dir.seconds,
-                    dir.accesses / scan_seconds, scan_seconds / dir.seconds);
+                    dir.seconds, scan.seconds, dir.accesses / dir.seconds,
+                    scan.accesses / scan.seconds, scan.seconds / dir.seconds);
     } else {
       std::snprintf(entry, sizeof entry,
                     "\n    {\"cores\": %u, \"sockets\": %u, "
-                    "\"host_threads\": 1, \"workload\": \"all\", "
                     "\"accesses\": %llu, "
                     "\"directory_seconds\": %.6f, "
                     "\"directory_accesses_per_sec\": %.0f}",
@@ -235,77 +196,16 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(dir.accesses),
                     dir.seconds, dir.accesses / dir.seconds);
     }
+    table.add_row(row);
     json += (first ? "" : ",");
     json += entry;
     first = false;
   }
 
   std::cout << "Simulator throughput: standard mini-program sweep, best of "
-            << reps << " rep(s)\n";
+            << reps << " rep(s), " << host_cpus << " host CPU(s), "
+            << FSML_BUILD_TYPE << " build\n";
   table.render(std::cout);
-
-  // ---- epoch-parallel sweep (good-mode workloads) -------------------------
-  double best_speedup_at_target = 0.0;
-  if (!cli.has("no-parallel")) {
-    util::Table par_table(std::vector<std::string>{
-        "cores", "host threads", "sim accesses", "wall", "acc/s", "speedup"});
-    for (std::size_t col = 1; col < par_table.num_columns(); ++col)
-      par_table.set_align(col, util::Align::kRight);
-
-    for (const std::int64_t cores64 : par_cores) {
-      const auto cores = static_cast<std::uint32_t>(cores64);
-      const std::uint32_t sockets = sweep_machine(cores).topology.sockets;
-      double serial_seconds = 0.0;
-      std::uint64_t serial_accesses = 0;
-      for (const std::int64_t h64 : host_threads_list) {
-        const auto h = static_cast<std::uint32_t>(h64);
-        const SweepResult r = run_sweep(cores, /*use_directory=*/true, reps,
-                                        seed, SweepWorkload::kGood, h);
-        if (h == 1) {
-          serial_seconds = r.seconds;
-          serial_accesses = r.accesses;
-        } else if (serial_accesses != 0) {
-          // Bench-level bit-identity: the parallel scheduler must simulate
-          // the exact same accesses as the serial one.
-          FSML_CHECK_MSG(r.accesses == serial_accesses,
-                         "parallel sweep diverged from the serial access "
-                         "count — bit-identity broken");
-        }
-        const double speedup =
-            serial_seconds > 0.0 ? serial_seconds / r.seconds : 1.0;
-        char speedup_str[32];
-        std::snprintf(speedup_str, sizeof speedup_str, "%.2fx", speedup);
-        par_table.add_row({std::to_string(cores), std::to_string(h),
-                           std::to_string(r.accesses),
-                           util::auto_time(r.seconds),
-                           std::to_string(static_cast<std::uint64_t>(
-                               r.accesses / r.seconds)),
-                           speedup_str});
-        char entry[384];
-        std::snprintf(entry, sizeof entry,
-                      "\n    {\"cores\": %u, \"sockets\": %u, "
-                      "\"host_threads\": %u, \"workload\": \"good\", "
-                      "\"accesses\": %llu, \"seconds\": %.6f, "
-                      "\"accesses_per_sec\": %.0f, "
-                      "\"speedup_vs_serial\": %.3f}",
-                      cores, sockets, h,
-                      static_cast<unsigned long long>(r.accesses), r.seconds,
-                      r.accesses / r.seconds, speedup);
-        json += (first ? "" : ",");
-        json += entry;
-        first = false;
-        if (assert_speedup > 0.0 && cores64 == par_cores.front())
-          best_speedup_at_target = std::max(best_speedup_at_target, speedup);
-      }
-    }
-    std::cout << "\nEpoch-parallel scheduler: good-mode sweep, " << host_cpus
-              << " host CPU(s)\n";
-    par_table.render(std::cout);
-    if (assert_speedup > 0.0)
-      FSML_CHECK_MSG(best_speedup_at_target >= assert_speedup,
-                     "epoch-parallel speedup regressed below the asserted "
-                     "floor at the smallest --par-cores point");
-  }
 
   json += "\n  ]\n}\n";
   if (!out.empty()) {

@@ -58,7 +58,6 @@ LabeledInstance run_one(const MiniProgram& program, std::uint64_t size,
   params.size = size;
   params.pattern = pattern;
   params.cancel = cancel;
-  params.sim_host_threads = config.sim_host_threads;
   params.seed = run_seed(config.seed, std::string(program.name()), size,
                          threads, mode, pattern, rep);
   const trainers::TrainerRun run =

@@ -46,11 +46,6 @@ struct TrainingConfig {
   /// yields bit-identical TrainingData: every run's seed derives from its
   /// job coordinates and rows assemble in job-list order (see src/par).
   std::size_t jobs = 0;
-  /// Host threads inside each simulation (epoch-parallel scheduler; see
-  /// exec::Machine::set_host_threads). Orthogonal to `jobs`: jobs
-  /// parallelise across runs, this parallelises within one run. Any value
-  /// yields bit-identical TrainingData.
-  std::uint32_t sim_host_threads = 1;
   sim::MachineConfig machine = sim::MachineConfig::westmere_dp(12);
 
   /// Smaller configuration for unit tests (2 sizes, 2 thread counts, 1 rep).

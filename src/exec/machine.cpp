@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <exception>
-#include <mutex>
 #include <utility>
 
-#include "par/worker_group.hpp"
 #include "util/check.hpp"
 
 namespace fsml::exec {
@@ -14,26 +12,11 @@ void ThreadCtx::compute(std::uint64_t n) {
   if (n == 0) return;
   const double cpi = machine_->config().cycles.compute_cpi;
   clock_ += static_cast<sim::Cycles>(static_cast<double>(n) * cpi + 0.5);
-  if (defer_ops_) {
-    // Parallel mode: the clock bump above is thread-private, but the counter
-    // bank write below is not (crosses snooping this core write the same
-    // bank). Buffer the count; perform()/flush drain it under the scheduler's
-    // no-conflicting-cross guarantee.
-    pending_instructions_ += n;
-    return;
-  }
   machine_->memory().retire_instructions(core_, n);
-}
-
-void ThreadCtx::flush_pending_instructions() {
-  if (pending_instructions_ == 0) return;
-  machine_->memory().retire_instructions(core_, pending_instructions_);
-  pending_instructions_ = 0;
 }
 
 sim::AccessResult ThreadCtx::perform(sim::Addr addr, std::uint32_t size,
                                      sim::AccessType type) {
-  flush_pending_instructions();
   const sim::AccessResult r =
       machine_->memory().access(core_, addr, size, type, clock_);
   clock_ += r.latency;
@@ -74,48 +57,16 @@ void Machine::spawn(ThreadFn fn) {
   threads_.push_back(std::move(state));
 }
 
-void Machine::start_threads() {
+RunResult Machine::run(sim::Cycles max_cycles) {
+  FSML_CHECK_MSG(!ran_, "Machine::run() is one-shot");
+  FSML_CHECK_MSG(!threads_.empty(), "no threads spawned");
+  ran_ = true;
   for (auto& t : threads_) {
     t->task = t->fn(*t->ctx);
     FSML_CHECK_MSG(t->task.valid(), "thread function must return a SimTask");
     t->task.handle().promise().done_flag = &t->done;
     t->ctx->set_resume(t->task.handle());
   }
-}
-
-RunResult Machine::tally_result() {
-  RunResult result;
-  std::uint64_t memory_ops = 0;
-  result.core_cycles.reserve(threads_.size());
-  for (auto& t : threads_) {
-    const sim::Cycles c = t->ctx->clock();
-    result.core_cycles.push_back(c);
-    result.total_cycles = std::max(result.total_cycles, c);
-    memory_ops += t->ctx->ops_issued();
-    memory_.account_cycles(t->ctx->core(), c);
-  }
-  result.memory_ops = memory_ops;
-  result.aggregate = memory_.aggregate_counters();
-  result.instructions =
-      result.aggregate.get(sim::RawEvent::kInstructionsRetired);
-  result.seconds = seconds(result.total_cycles);
-  return result;
-}
-
-RunResult Machine::run(sim::Cycles max_cycles) {
-  FSML_CHECK_MSG(!ran_, "Machine::run() is one-shot");
-  FSML_CHECK_MSG(!threads_.empty(), "no threads spawned");
-  ran_ = true;
-  start_threads();
-
-  // Epoch-parallel dispatch: needs more than one group to be worth a gang
-  // of host threads, and falls back to serial when slicing or observers
-  // would sample global state mid-run (both are inherently sequential
-  // views of the simulation).
-  const std::uint32_t groups = std::min<std::uint32_t>(
-      host_threads_, static_cast<std::uint32_t>(threads_.size()));
-  if (groups > 1 && slice_cycles_ == 0 && !memory_.has_observers())
-    return run_parallel(max_cycles, groups);
 
   // Scheduler ready-queue: a binary min-heap over (clock, thread id), so
   // picking the next thread is O(log threads) instead of a linear scan per
@@ -151,7 +102,7 @@ RunResult Machine::run(sim::Cycles max_cycles) {
   // in case a future caller spawns mid-run with a nonzero clock.
   for (std::size_t i = heap_size / 2; i-- > 0;) sift_down(i);
 
-  RunResult result;  // collects completed slices; everything else re-tallied
+  RunResult result;
   sim::RawCounters last_snapshot;
   sim::Cycles next_boundary = slice_cycles_;
   std::uint32_t cancel_poll = 0;
@@ -196,319 +147,25 @@ RunResult Machine::run(sim::Cycles max_cycles) {
     sift_down(0);
   }
 
-  RunResult tallied = tally_result();
+  result.core_cycles.reserve(threads_.size());
+  for (auto& t : threads_) {
+    const sim::Cycles c = t->ctx->clock();
+    result.core_cycles.push_back(c);
+    result.total_cycles = std::max(result.total_cycles, c);
+    result.memory_ops += t->ctx->ops_issued();
+    memory_.account_cycles(t->ctx->core(), c);
+  }
+  result.aggregate = memory_.aggregate_counters();
+  result.instructions =
+      result.aggregate.get(sim::RawEvent::kInstructionsRetired);
+  result.seconds = seconds(result.total_cycles);
   if (slice_cycles_ > 0) {
     // Final partial slice (account_cycles above does not affect deltas of
     // interest beyond CYCLES_TOTAL).
-    tallied.slices = std::move(result.slices);
-    tallied.slices.push_back(last_snapshot.delta_to(tallied.aggregate));
-    tallied.slice_cycles = slice_cycles_;
+    result.slices.push_back(last_snapshot.delta_to(result.aggregate));
+    result.slice_cycles = slice_cycles_;
   }
-  return tallied;
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-parallel scheduler.
-//
-// The serial loop always resumes the thread with the smallest (clock, tid),
-// runs it to its next co_await and applies exactly one memory access. The
-// parallel engine reproduces that slice sequence exactly. Each host worker
-// owns a round-robin share of the simulated threads (tid % groups) with its
-// own min-heap, and publishes two monotone keys per group on a shared cache
-// line:
-//
-//   front — the packed (clock, tid) key of the group's current minimum slice.
-//   cross — a lower bound on the key of the next access from this group that
-//           could touch shared simulated state. The publish is a promise:
-//           "no access of mine below `cross` will ever reach shared state."
-//
-// A worker takes its minimum slice K and first waits until every other
-// group's `cross` exceeds K (the local gate). From then on no conflicting
-// access below K exists or can ever start — later slices elsewhere are
-// blocked by our own front == K — so classifying the pending access by
-// reading our private cache state is race-free. Accesses that touch only
-// core-private state (MemorySystem::classify_access) then apply immediately
-// and concurrently; before applying, the worker raises `cross` to its next
-// possible slice key (the classified access's exact completion key, or the
-// heap's second minimum if that is smaller), which is what lets other groups
-// overlap with it. Anything else — misses, upgrades, prefetch bursts, fn-ops
-// — additionally waits until every other group's `front` exceeds K; at that
-// moment K is the global minimum, the access is the very one the serial loop
-// would run next, and it applies under effectively global mutual exclusion.
-//
-// Deadlock-freedom: keys are unique, and the globally minimal group's gates
-// always pass (every other group's keys are strictly larger). Bit-identity:
-// cross-capable accesses apply in exactly serial order; local accesses
-// commute with everything that can run concurrently with them (disjoint
-// simulated state), so every counter, latency and derived feature lands on
-// the serial value. DESIGN.md §15 gives the full argument.
-// ---------------------------------------------------------------------------
-RunResult Machine::run_parallel(sim::Cycles max_cycles, std::uint32_t groups) {
-  constexpr unsigned kTidBits = kKeyTidBits;
-  constexpr std::uint64_t kIdleKey = ~std::uint64_t{0};
-  FSML_CHECK_MSG(threads_.size() < (std::size_t{1} << kTidBits) - 1,
-                 "too many simulated threads for the packed slice key");
-  FSML_CHECK_MSG(max_cycles < (sim::Cycles{1} << (62 - kTidBits)),
-                 "cycle budget too large for the packed slice key");
-  const auto pack = [](sim::Cycles clock, std::uint32_t tid) {
-    // tid + 1 keeps key 0 strictly below every real slice, so the initial
-    // gate values published before the workers start are conservative.
-    return (clock << kTidBits) | (tid + 1);
-  };
-
-  commit_log_.clear();
-  for (auto& t : threads_) t->ctx->defer_ops_ = true;
-
-  struct Ready {
-    sim::Cycles clock;
-    std::uint32_t tid;
-  };
-  const auto before = [](const Ready& a, const Ready& b) {
-    return a.clock < b.clock || (a.clock == b.clock && a.tid < b.tid);
-  };
-
-  // Round-robin thread-to-group assignment: the serial scheduler breaks
-  // clock ties on the lower tid, so same-clock slices of consecutive tids
-  // are the common adjacent pairs — contiguous blocks would funnel every
-  // such tie through one group and serialize.
-  std::vector<std::vector<Ready>> initial(groups);
-  for (std::uint32_t tid = 0; tid < threads_.size(); ++tid)
-    initial[tid % groups].push_back({threads_[tid]->ctx->clock(), tid});
-
-  struct alignas(64) GroupGate {
-    std::atomic<std::uint64_t> front{kIdleKey};
-    std::atomic<std::uint64_t> cross{kIdleKey};
-  };
-  std::vector<GroupGate> gates(groups);
-  for (std::uint32_t g = 0; g < groups; ++g) {
-    if (initial[g].empty()) continue;
-    const std::uint64_t k = pack(initial[g][0].clock, initial[g][0].tid);
-    gates[g].front.store(k, std::memory_order_relaxed);
-    gates[g].cross.store(k, std::memory_order_relaxed);
-  }
-
-  std::atomic<bool> abort{false};
-  std::atomic<bool> cancelled{false};
-  std::mutex error_mu;
-  std::uint64_t error_key = kIdleKey;
-  std::exception_ptr error;
-
-  const auto worker = [&](std::size_t g) {
-    std::vector<Ready> heap = std::move(initial[g]);
-    std::size_t heap_size = heap.size();
-    const auto sift_down = [&](std::size_t pos) {
-      for (;;) {
-        std::size_t least = pos;
-        const std::size_t left = 2 * pos + 1;
-        const std::size_t right = left + 1;
-        if (left < heap_size && before(heap[left], heap[least])) least = left;
-        if (right < heap_size && before(heap[right], heap[least]))
-          least = right;
-        if (least == pos) return;
-        std::swap(heap[pos], heap[least]);
-        pos = least;
-      }
-    };
-
-    GroupGate& mine = gates[g];
-    par::SpinBackoff backoff;
-    std::uint32_t cancel_poll = 0;
-    // Cached minimum of the other groups' `cross` keys: those keys are
-    // monotone promises, so every key below the cached value stays safely
-    // local without touching shared state again — the fast path that makes
-    // local-dominated workloads scale.
-    std::uint64_t others_cross_floor = 0;
-
-    const auto poll_cancel = [&] {
-      if (cancel_flag_ != nullptr && (++cancel_poll & 0x3FFu) == 0 &&
-          cancel_flag_->load(std::memory_order_relaxed)) {
-        cancelled.store(true, std::memory_order_relaxed);
-        abort.store(true, std::memory_order_release);
-      }
-    };
-
-    // Local gate: wait until no other group can ever issue a cross-capable
-    // access at or below `key`. Returns false if the run is aborting.
-    const auto wait_no_cross_below = [&](std::uint64_t key) -> bool {
-      if (key < others_cross_floor) return true;
-      for (;;) {
-        std::uint64_t floor = kIdleKey;
-        for (std::uint32_t h = 0; h < groups; ++h) {
-          if (h == g) continue;
-          floor = std::min(
-              floor, gates[h].cross.load(std::memory_order_acquire));
-        }
-        if (floor > key) {
-          others_cross_floor = floor;
-          backoff.reset();
-          return true;
-        }
-        if (abort.load(std::memory_order_acquire)) return false;
-        poll_cancel();
-        backoff.pause();
-      }
-    };
-
-    // Full gate: wait until `key` is the global minimum slice. Returns
-    // false if the run is aborting.
-    const auto wait_globally_min = [&](std::uint64_t key) -> bool {
-      for (;;) {
-        bool is_min = true;
-        for (std::uint32_t h = 0; h < groups; ++h) {
-          if (h == g) continue;
-          if (gates[h].front.load(std::memory_order_acquire) <= key) {
-            is_min = false;
-            break;
-          }
-        }
-        if (is_min) {
-          backoff.reset();
-          return true;
-        }
-        if (abort.load(std::memory_order_acquire)) return false;
-        poll_cancel();
-        backoff.pause();
-      }
-    };
-
-    // Stall-in-order error protocol: hold position at `key`, wait until
-    // every earlier slice has applied, then record the failure. The
-    // minimum recorded key wins, which is exactly the first error the
-    // serial loop would have hit.
-    const auto fail_at = [&](std::uint64_t key, std::exception_ptr ep) {
-      wait_globally_min(key);
-      {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (key < error_key) {
-          error_key = key;
-          error = ep;
-        }
-      }
-      abort.store(true, std::memory_order_release);
-    };
-
-    std::uint64_t key = kIdleKey;
-    try {
-      while (heap_size > 0) {
-        if (abort.load(std::memory_order_acquire)) break;
-        poll_cancel();
-        ThreadState* const t = threads_[heap[0].tid].get();
-        key = pack(heap[0].clock, heap[0].tid);
-        mine.cross.store(key, std::memory_order_release);
-        mine.front.store(key, std::memory_order_release);
-
-        if (heap[0].clock > max_cycles) {
-          // The serial loop checks the budget on the global minimum slice;
-          // fail_at stalls until this is it, then fails identically.
-          std::exception_ptr ep;
-          try {
-            FSML_CHECK_MSG(false,
-                           "simulation exceeded the cycle budget (deadlock "
-                           "or runaway kernel?)");
-          } catch (...) {
-            ep = std::current_exception();
-          }
-          fail_at(key, ep);
-          break;
-        }
-
-        // Phase 1: run host code up to the next co_await. The memory access
-        // is stashed in ctx->pending_, not performed; only thread-private
-        // state (clock, rng, kernel locals) changes here.
-        t->ctx->pending_.armed = false;
-        const auto handle = t->ctx->take_resume();
-        FSML_CHECK_MSG(static_cast<bool>(handle),
-                       "runnable thread without a resume point");
-        handle.resume();
-
-        if (t->done) {
-          if (auto ep = t->task.handle().promise().exception) {
-            fail_at(key, ep);
-            break;
-          }
-          // Trailing compute() counts flush into this core's counter bank:
-          // gate like a local apply so no earlier cross is snooping it.
-          if (!wait_no_cross_below(key)) break;
-          t->ctx->flush_pending_instructions();
-          heap[0] = heap[--heap_size];
-          sift_down(0);
-          continue;
-        }
-
-        ThreadCtx::PendingOp& op = t->ctx->pending_;
-        if (!op.armed) {
-          // yield(): the clock advanced, nothing touches shared state.
-          heap[0].clock = t->ctx->clock();
-          sift_down(0);
-          continue;
-        }
-
-        const sim::Cycles issue_clock = t->ctx->clock();
-        // Gate BEFORE classifying: once no cross at or below `key` can ever
-        // start, this core's cache state is frozen from the outside and the
-        // classification reads are race-free.
-        if (!wait_no_cross_below(key)) break;
-        const sim::MemorySystem::AccessClass cls =
-            op.has_fn ? sim::MemorySystem::AccessClass{}
-                      : memory_.classify_access(t->ctx->core(), op.addr,
-                                                op.size, op.type, issue_clock);
-        if (cls.local) {
-          // Raise our conflict bound to the earliest key at which this group
-          // could next reach shared state — this thread's post-access slice
-          // or the heap's runner-up, whichever is smaller — then apply
-          // concurrently.
-          std::uint64_t bound = pack(issue_clock + cls.latency, heap[0].tid);
-          if (heap_size > 1)
-            bound = std::min(bound, pack(heap[1].clock, heap[1].tid));
-          if (heap_size > 2)
-            bound = std::min(bound, pack(heap[2].clock, heap[2].tid));
-          mine.cross.store(bound, std::memory_order_release);
-          try {
-            op.apply(op.awaitable);
-          } catch (...) {
-            fail_at(key, std::current_exception());
-            break;
-          }
-          FSML_CHECK_MSG(t->ctx->clock() == issue_clock + cls.latency,
-                         "classify_access latency diverged from access()");
-        } else {
-          // Cross-capable: commit in exact global order.
-          if (!wait_globally_min(key)) break;
-          try {
-            op.apply(op.awaitable);
-          } catch (...) {
-            fail_at(key, std::current_exception());
-            break;
-          }
-          if (record_commit_log_) commit_log_.push_back(key);
-        }
-        heap[0].clock = t->ctx->clock();
-        sift_down(0);
-      }
-    } catch (...) {
-      // Engine-internal failure (e.g. the latency cross-check): record at
-      // the current slice and bring the gang down.
-      {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (key < error_key) {
-          error_key = key;
-          error = std::current_exception();
-        }
-      }
-      abort.store(true, std::memory_order_release);
-    }
-    // Drained or aborting: this group can never conflict again; unblock
-    // everyone still gating on us.
-    mine.cross.store(kIdleKey, std::memory_order_release);
-    mine.front.store(kIdleKey, std::memory_order_release);
-  };
-
-  par::WorkerGroup::run(groups, worker);
-
-  for (auto& t : threads_) t->ctx->defer_ops_ = false;
-  if (error) std::rethrow_exception(error);
-  if (cancelled.load(std::memory_order_relaxed)) throw Cancelled();
-  return tally_result();
+  return result;
 }
 
 double Machine::seconds(sim::Cycles cycles) const {

@@ -15,9 +15,7 @@
 // clock, so threads interleave at memory-operation granularity exactly as
 // their access latencies dictate. Given (config, seed, kernel) the entire
 // execution — interleaving, coherence traffic, event counts — is
-// reproducible bit-for-bit. set_host_threads(N) runs that same loop
-// epoch-parallel across N host threads with an identical result — see
-// DESIGN.md §15 for the ordering contract.
+// reproducible bit-for-bit.
 //
 // NOTE on lambda kernels: the closure object passed to spawn() is kept
 // alive by the Machine for the whole run, but anything it captures by
@@ -90,21 +88,9 @@ class ThreadCtx {
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (ctx->defer_ops_) {
-        ctx->pending_ = {addr, size, type, /*has_fn=*/true, /*armed=*/true,
-                         &OpAwaitable::apply_deferred, this};
-        ctx->set_resume(h);
-        return;
-      }
       const sim::AccessResult r = ctx->perform(addr, size, type);
       new (storage) Result(fn(r));
       ctx->set_resume(h);
-    }
-    static void apply_deferred(void* self_untyped) {
-      auto* self = static_cast<OpAwaitable*>(self_untyped);
-      const sim::AccessResult r =
-          self->ctx->perform(self->addr, self->size, self->type);
-      new (self->storage) Result(self->fn(r));
     }
     Result await_resume() {
       Result* p = std::launder(reinterpret_cast<Result*>(storage));
@@ -123,19 +109,8 @@ class ThreadCtx {
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (ctx->defer_ops_) {
-        ctx->pending_ = {addr, size, type, /*has_fn=*/false, /*armed=*/true,
-                         &VoidOpAwaitable::apply_deferred, this};
-        ctx->set_resume(h);
-        return;
-      }
       result = ctx->perform(addr, size, type);
       ctx->set_resume(h);
-    }
-    static void apply_deferred(void* self_untyped) {
-      auto* self = static_cast<VoidOpAwaitable*>(self_untyped);
-      self->result =
-          self->ctx->perform(self->addr, self->size, self->type);
     }
     sim::AccessResult await_resume() const { return result; }
   };
@@ -184,36 +159,12 @@ class ThreadCtx {
     return h;
   }
 
-  /// Deferred-instruction flush for the parallel scheduler: compute() calls
-  /// buffered while defer_ops_ was set drain into this core's counter bank
-  /// here, under the same no-conflicting-cross guarantee as a local apply.
-  void flush_pending_instructions();
-
-  /// The memory operation the thread suspended on, stashed instead of
-  /// performed when the parallel scheduler defers applies (defer_ops_). The
-  /// engine invokes `apply(awaitable)` once the slice's position in the
-  /// global (clock, tid) order is safe; the thunk performs the access and
-  /// materialises the co_await result exactly as the serial inline path
-  /// would have.
-  struct PendingOp {
-    sim::Addr addr = 0;
-    std::uint32_t size = 0;
-    sim::AccessType type = sim::AccessType::kLoad;
-    bool has_fn = false;  ///< fn-ops touch host state: never local
-    bool armed = false;   ///< false after a yield() or thread completion
-    void (*apply)(void*) = nullptr;
-    void* awaitable = nullptr;
-  };
-
   Machine* machine_;
   sim::CoreId core_;
   sim::Cycles clock_ = 0;
   std::uint64_t ops_ = 0;
   util::Rng rng_;
   std::coroutine_handle<> resume_;
-  bool defer_ops_ = false;
-  PendingOp pending_;
-  std::uint64_t pending_instructions_ = 0;
 };
 
 /// Outcome of Machine::run().
@@ -279,36 +230,7 @@ class Machine {
   /// few thousand steps and unwinds run() with exec::Cancelled once it goes
   /// true. The flag must outlive run(); nullptr (default) disables polling.
   /// This is how par::Supervisor deadlines reach a running simulation.
-  /// Parallel runs poll the flag from every worker's wait loops.
   void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
-
-  /// Epoch-parallel execution: partition the simulated threads across `n`
-  /// host threads (round-robin, tid % n) and run the discrete-event loop
-  /// concurrently, committing every access that can touch shared state in
-  /// the exact (clock, tid) order the serial heap would have produced. The
-  /// result — every latency, counter and derived feature — is bit-identical
-  /// to the serial scheduler; see DESIGN.md §15 for the ordering contract.
-  ///
-  /// n <= 1 (default) keeps the serial scheduler. Slicing
-  /// (enable_slicing) and access observers sample global state
-  /// mid-run and force a silent fallback to serial execution.
-  ///
-  /// Kernel contract under parallel execution: cross-simulated-thread host
-  /// state may be shared only inside fn-ops (ctx.op / sync.hpp — these
-  /// commit under global mutual exclusion); plain loads/stores/rmws and
-  /// compute() must touch only thread-private host state.
-  void set_host_threads(std::uint32_t n) { host_threads_ = n == 0 ? 1 : n; }
-  std::uint32_t host_threads() const { return host_threads_; }
-
-  /// Test hook: record the packed (clock << kKeyTidBits | tid + 1) commit
-  /// key of every globally-ordered (cross) access during a parallel run.
-  /// The log must come out strictly increasing — that IS the bit-identity
-  /// argument, and the EpochFuzz tests assert it.
-  void set_record_commit_log(bool on) { record_commit_log_ = on; }
-  const std::vector<std::uint64_t>& commit_log() const { return commit_log_; }
-
-  /// Bits of the packed (clock, tid) slice key reserved for the tid.
-  static constexpr unsigned kKeyTidBits = 12;
 
   /// Runs all spawned threads to completion. One-shot.
   /// Throws if any core exceeds `max_cycles` (deadlock guard) or a kernel
@@ -331,15 +253,6 @@ class Machine {
   /// Core for the `thread`-th spawned thread under the active placement.
   sim::CoreId placement_core(std::uint32_t thread) const;
 
-  /// Instantiates the coroutines and seeds each thread's resume handle.
-  void start_threads();
-
-  /// End-of-run accounting shared by the serial and parallel schedulers.
-  RunResult tally_result();
-
-  /// The epoch-parallel engine (run() dispatches here when eligible).
-  RunResult run_parallel(sim::Cycles max_cycles, std::uint32_t groups);
-
   sim::MemorySystem memory_;
   VirtualArena arena_;
   std::uint64_t seed_;
@@ -350,9 +263,6 @@ class Machine {
   bool ran_ = false;
   sim::Cycles slice_cycles_ = 0;
   const std::atomic<bool>* cancel_flag_ = nullptr;
-  std::uint32_t host_threads_ = 1;
-  bool record_commit_log_ = false;
-  std::vector<std::uint64_t> commit_log_;
 };
 
 }  // namespace fsml::exec

@@ -33,9 +33,8 @@ class SpinLock {
 
   /// One atomic test-and-set attempt; true when the lock was taken.
   /// count_contention bumps the contended counter when the lock is found
-  /// held — inside the fn-op, because lock statistics are cross-thread
-  /// host state and parallel runs only serialize fn-op callbacks (plain
-  /// coroutine-body code in different core groups runs concurrently).
+  /// held — inside the fn-op, so the count sees the lock state at the
+  /// access.
   auto try_acquire(ThreadCtx& ctx, bool count_contention = false) {
     return ctx.op(addr_, 8, sim::AccessType::kRmw,
                   [this, core = ctx.core(), count_contention](

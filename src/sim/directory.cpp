@@ -58,12 +58,7 @@ void CoherenceDirectory::on_line_event(CoreId core, Addr line,
     e.owner_state = MesiState::kInvalid;
     ++size_;
   }
-  // Skip the redundant sharer-bit write when the core is already tracked
-  // (E->M upgrades): the parallel scheduler lets a core's silent upgrade
-  // run concurrently with other groups' probe walks, which read `sharers`
-  // to delimit probe chains — the in-place owner/owner_state field updates
-  // below touch bytes no concurrent probe reads.
-  if (!idx_.test(e.sharers, core)) idx_.set(e.sharers, core);
+  idx_.set(e.sharers, core);
   if (to == MesiState::kModified || to == MesiState::kExclusive) {
     // MESI single-writer: a second owner would mean the protocol let two
     // cores hold the line M/E at once.

@@ -13,12 +13,10 @@ MachineConfig validated(MachineConfig config) {
   return config;
 }
 
-// Stream-prefetcher look-ahead window and burst size (shared between
-// maybe_stream_prefetch and its read-only stream_would_prefetch probe).
-// Prefetches are issued in bursts of consecutive lines so the DRAM bank
-// sees row hits: steady-state one-line-at-a-time prefetching from many
-// interleaved streams would turn every transfer into a row activation and
-// saturate the channel.
+// Stream-prefetcher look-ahead window and burst size. Prefetches are issued
+// in bursts of consecutive lines so the DRAM bank sees row hits:
+// steady-state one-line-at-a-time prefetching from many interleaved streams
+// would turn every transfer into a row activation and saturate the channel.
 constexpr Addr kPrefetchAhead = 8;
 constexpr Addr kPrefetchBurst = 4;
 }  // namespace
@@ -176,9 +174,10 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
     result.latency += cm.tlb_walk;
   }
 
+  // Each step below scans a cache set at most once: a lookup returns a
+  // Cache::Slot that later state changes on the same line reuse.
   if (type == AccessType::kLoad) {
-    const MesiState s1 = node.l1.touch(line);
-    if (s1 != MesiState::kInvalid) {
+    if (node.l1.touch(line).resident()) {
       // Present, but is the fill that brought it still in flight? Then the
       // load merges with the fill buffer entry rather than hitting L1
       // proper (MEM_LOAD_RETIRED.HIT_LFB) and waits for the fill.
@@ -200,11 +199,11 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
 
     count(core, RawEvent::kL1dLoadMiss, 1);
     count(core, RawEvent::kL2DemandRequests, 1);
-    const MesiState s2 = node.l2.touch(line);
-    if (s2 != MesiState::kInvalid) {
+    const Cache::Slot l2 = node.l2.touch(line);
+    if (l2.resident()) {
       count(core, RawEvent::kL2Hit, 1);
       count(core, RawEvent::kMemLoadRetiredL2Hit, 1);
-      fill_private(core, line, s2);  // bring into L1 (L2 state unchanged)
+      fill_l1(core, line, node.l2.state(l2));  // L2 state unchanged
       result.level = ServiceLevel::kL2;
       result.latency += cm.l2_hit;
       // Hits on prefetched lines keep the streamer running ahead.
@@ -250,7 +249,8 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
   Cycles drain_latency = 0;
   bool fill_lfb = false;
 
-  const MesiState s1 = node.l1.touch(line);
+  const Cache::Slot l1 = node.l1.touch(line);
+  const MesiState s1 = node.l1.state(l1);
   if (s1 == MesiState::kModified) {
     count(core, RawEvent::kL1dStoreHit, 1);
     result.level = ServiceLevel::kL1;
@@ -258,19 +258,22 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
   } else if (s1 == MesiState::kExclusive) {
     count(core, RawEvent::kL1dStoreHit, 1);
     count(core, RawEvent::kTransEM, 1);
-    node.l1.set_state(line, MesiState::kModified);
+    node.l1.set_state(l1, MesiState::kModified);
     node.l2.set_state(line, MesiState::kModified);
     result.level = ServiceLevel::kL1;
     drain_latency = cm.l1_hit;
   } else {
+    // L1 state always equals L2 state, so an L1 miss with an L2 M/E hit
+    // leaves L1 without the line, and an S hit means both hold it S.
     count(core, RawEvent::kL1dStoreMiss, 1);
     count(core, RawEvent::kL2DemandRequests, 1);
-    const MesiState s2 = node.l2.touch(line);
+    const Cache::Slot l2 = node.l2.touch(line);
+    const MesiState s2 = node.l2.state(l2);
     if (s2 == MesiState::kModified || s2 == MesiState::kExclusive) {
       count(core, RawEvent::kL2Hit, 1);
       if (s2 == MesiState::kExclusive) count(core, RawEvent::kTransEM, 1);
-      node.l2.set_state(line, MesiState::kModified);
-      fill_private(core, line, MesiState::kModified);
+      node.l2.set_state(l2, MesiState::kModified);
+      fill_l1(core, line, MesiState::kModified);
       result.level = ServiceLevel::kL2;
       drain_latency = cm.l2_hit;
       // Keep a detected RFO stream running ahead.
@@ -292,10 +295,11 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
         count(core, RawEvent::kInvalidationsSent, 1);
         if (socket_of(peer) != socket_of(core)) remote_sharer = true;
       });
+      // The snoops touched only peers and other sockets: both slots still
+      // locate this core's copies.
       invalidate_other_l3s(socket_of(core), line);
-      node.l2.set_state(line, MesiState::kModified);
-      if (node.l1.contains(line))
-        node.l1.set_state(line, MesiState::kModified);
+      node.l2.set_state(l2, MesiState::kModified);
+      if (l1.resident()) node.l1.set_state(l1, MesiState::kModified);
       result.level = ServiceLevel::kUpgrade;
       drain_latency = cm.upgrade;
       if (remote_sharer) {
@@ -384,8 +388,9 @@ void MemorySystem::maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
       sharer_index_.clear(s_mask, holders.owner);
     const bool shared_elsewhere = s_mask.any();
     if (owned_elsewhere) continue;
-    Cache& local_l3 = l3s_[socket_of(core)];
-    if (!local_l3.contains(target)) {
+    if (l3s_[socket_of(core)].touch(target).resident()) {
+      count(core, RawEvent::kHwPrefetchesIssued, 1);
+    } else {
       // Prefetches are the lowest-priority memory traffic: a saturated
       // channel refuses them (kPrefetchDropped) rather than queueing them —
       // otherwise the backlog they create would silently defer onto later
@@ -401,105 +406,16 @@ void MemorySystem::maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
                 : RawEvent::kDramReadsRemote,
             1);
       fill_l3(socket_of(core), target, MesiState::kExclusive);
-    } else {
-      count(core, RawEvent::kHwPrefetchesIssued, 1);
-      local_l3.touch(target);
     }
     count(core, RawEvent::kPrefetchFillsL2, 1);
     fill_private(core, target,
                  shared_elsewhere ? MesiState::kShared : MesiState::kExclusive,
-                 /*fill_l1=*/false);
+                 /*also_l1=*/false);
     // A prefetch fill is "in flight" briefly; demand loads arriving before
     // it lands merge with it (HIT_LFB).
     node.lfb.insert(target, now + config_.cycles.l2_hit, now);
   }
 }
-
-bool MemorySystem::stream_would_prefetch(CoreId core, Addr line) const {
-  const CoreNode& node = nodes_[core];
-  const Addr line_bytes = config_.l1d.line_bytes;
-  // Mirror of maybe_stream_prefetch's frontier match (first hit wins) and
-  // hysteresis test; the callers that pair with this probe never allocate,
-  // so a missing frontier means no mutation at all.
-  for (const Addr next : node.stream_table) {
-    if (next == 0) continue;
-    if (line + line_bytes >= next - kPrefetchAhead * line_bytes &&
-        line < next + line_bytes) {
-      return next <= line + (kPrefetchAhead - kPrefetchBurst) * line_bytes;
-    }
-  }
-  return false;
-}
-
-MemorySystem::AccessClass MemorySystem::classify_access(
-    CoreId core, Addr addr, std::uint32_t size, AccessType type,
-    Cycles now) const {
-  FSML_DCHECK(core < nodes_.size());
-  // A straddling access couples its lines (the first line's fill can evict
-  // the second before it is touched), so only single-line accesses are
-  // candidates for group-local execution.
-  if (config_.l1d.line_addr(addr) !=
-      config_.l1d.line_addr(addr + size - 1))
-    return {};
-  const Addr line = config_.l1d.line_addr(addr);
-  const CoreNode& node = nodes_[core];
-  const CycleModel& cm = config_.cycles;
-
-  AccessClass cls;
-  if (!node.dtlb.would_hit(line)) cls.latency += cm.tlb_walk;
-
-  // The load half (plain loads, and the synchronous load of an RMW).
-  MesiState state = node.l1.state_of(line);
-  if (type == AccessType::kLoad || type == AccessType::kRmw) {
-    if (state != MesiState::kInvalid) {
-      if (const auto completion = node.lfb.peek_pending_fill(line, now)) {
-        const Cycles wait = *completion > now ? *completion - now : 0;
-        cls.latency += std::max<Cycles>(cm.lfb_hit, wait);
-      } else {
-        cls.latency += cm.l1_hit;
-      }
-    } else {
-      // L1 miss. An L2 hit fills only this core's L1 — local, unless it
-      // would wake the stream prefetcher, whose burst probes the directory
-      // and fills shared levels.
-      state = node.l2.state_of(line);
-      if (state == MesiState::kInvalid) return {};
-      if (stream_would_prefetch(core, line)) return {};
-      cls.latency += cm.l2_hit;
-    }
-    if (type == AccessType::kLoad) {
-      cls.local = true;
-      return cls;
-    }
-    // RMW store half: after the load half the line sits in L1 in `state`;
-    // anything short of M/E means an upgrade (peer invalidations).
-    if (state != MesiState::kModified && state != MesiState::kExclusive)
-      return {};
-    // Its second translation always hits (the load half installed the
-    // page), so the store half adds only commit + store-buffer stall at
-    // its own issue time.
-    cls.latency +=
-        cm.store_commit + node.store_buffer.peek_stall(now + cls.latency);
-    cls.local = true;
-    return cls;
-  }
-
-  // Plain store: local only while ownership is already held — an L1 M/E
-  // hit, or an L2 M/E hit whose fill touches nothing outside this core
-  // (E->M stays a core-private transition; the directory's owner-state
-  // field update is in place on a line no concurrent probe may read).
-  if (state != MesiState::kModified && state != MesiState::kExclusive) {
-    state = node.l2.state_of(line);
-    if (state != MesiState::kModified && state != MesiState::kExclusive)
-      return {};
-    if (stream_would_prefetch(core, line)) return {};
-  }
-  cls.latency += cm.store_commit + node.store_buffer.peek_stall(now);
-  cls.local = true;
-  return cls;
-}
-
-
 
 Cycles MemorySystem::dram_queue_delay(Cycles now, Addr line, bool demand) {
   const Addr row = line / config_.cycles.dram_row_bytes;
@@ -605,10 +521,12 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
             qpi_extra(owner_socket)};
   }
 
-  // No private owner. Serve from the nearest L3 holding the line.
-  const MesiState local_l3 = l3s_[my_socket].touch(line);
+  // No private owner. Serve from the nearest L3 holding the line. Nothing
+  // below changes this socket's L3 before the final fill, so one lookup
+  // answers for the whole request.
+  const bool local_l3_hit = l3s_[my_socket].touch(line).resident();
   std::uint32_t home_socket = my_socket;
-  if (local_l3 == MesiState::kInvalid) {
+  if (!local_l3_hit) {
     bool found = false;
     for (std::uint32_t sock = 0; sock < l3s_.size(); ++sock) {
       if (sock == my_socket) continue;
@@ -650,13 +568,11 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
       count(core, RawEvent::kInvalidationsSent, 1);
     });
     invalidate_other_l3s(my_socket, line);
-    if (!l3s_[my_socket].contains(line))
-      fill_l3(my_socket, line, MesiState::kExclusive);
+    if (!local_l3_hit) fill_l3(my_socket, line, MesiState::kExclusive);
     return {ServiceLevel::kL3, MesiState::kModified,
             qpi_extra(home_socket)};
   }
-  if (!l3s_[my_socket].contains(line))
-    fill_l3(my_socket, line, MesiState::kShared);
+  if (!local_l3_hit) fill_l3(my_socket, line, MesiState::kShared);
   return {ServiceLevel::kL3,
           sharer_mask.none() ? MesiState::kExclusive : MesiState::kShared,
           qpi_extra(home_socket)};
@@ -698,46 +614,35 @@ MemorySystem::LineHolders MemorySystem::line_holders(Addr line) const {
 MesiState MemorySystem::snoop_peer(CoreId peer, Addr line,
                                    bool for_ownership) {
   CoreNode& node = nodes_[peer];
-  const MesiState s = node.l2.state_of(line);
+  const Cache::Slot l2 = node.l2.find(line);
+  const MesiState s = node.l2.state(l2);
   if (s == MesiState::kInvalid) return s;
   count(peer, RawEvent::kSnoopRequestsReceived, 1);
   switch (s) {
     case MesiState::kModified:
       count(peer, RawEvent::kSnoopResponseHitM, 1);
-      if (for_ownership) {
-        count(peer, RawEvent::kTransMI, 1);
-        count(peer, RawEvent::kInvalidationsReceived, 1);
-        node.l1.invalidate(line);
-        node.l2.invalidate(line);
-      } else {
-        count(peer, RawEvent::kTransMS, 1);
-        if (node.l1.contains(line)) node.l1.set_state(line, MesiState::kShared);
-        node.l2.set_state(line, MesiState::kShared);
-      }
+      count(peer, for_ownership ? RawEvent::kTransMI : RawEvent::kTransMS, 1);
       break;
     case MesiState::kExclusive:
       count(peer, RawEvent::kSnoopResponseHitE, 1);
-      if (for_ownership) {
-        count(peer, RawEvent::kTransEI, 1);
-        count(peer, RawEvent::kInvalidationsReceived, 1);
-        node.l1.invalidate(line);
-        node.l2.invalidate(line);
-      } else {
-        count(peer, RawEvent::kTransES, 1);
-        if (node.l1.contains(line)) node.l1.set_state(line, MesiState::kShared);
-        node.l2.set_state(line, MesiState::kShared);
-      }
+      count(peer, for_ownership ? RawEvent::kTransEI : RawEvent::kTransES, 1);
       break;
     case MesiState::kShared:
       count(peer, RawEvent::kSnoopResponseHit, 1);
       FSML_DCHECK(for_ownership);  // read requests never snoop S holders
       count(peer, RawEvent::kTransSI, 1);
-      count(peer, RawEvent::kInvalidationsReceived, 1);
-      node.l1.invalidate(line);
-      node.l2.invalidate(line);
       break;
     case MesiState::kInvalid:
       break;
+  }
+  if (for_ownership) {
+    count(peer, RawEvent::kInvalidationsReceived, 1);
+    node.l1.invalidate(line);
+    node.l2.invalidate(l2);
+  } else {
+    const Cache::Slot l1 = node.l1.find(line);
+    if (l1.resident()) node.l1.set_state(l1, MesiState::kShared);
+    node.l2.set_state(l2, MesiState::kShared);
   }
   return s;
 }
@@ -759,44 +664,43 @@ void MemorySystem::record_fill_transition(CoreId core, MesiState state) {
 }
 
 void MemorySystem::fill_private(CoreId core, Addr line, MesiState state,
-                                bool fill_l1) {
+                                bool also_l1) {
   CoreNode& node = nodes_[core];
-
-  if (node.l2.state_of(line) == MesiState::kInvalid) {
-    count(core, RawEvent::kL2Fill, 1);
-    record_fill_transition(core, state);
-    switch (state) {
-      case MesiState::kShared:
-        count(core, RawEvent::kL2LinesInS, 1);
-        break;
-      case MesiState::kExclusive:
-        count(core, RawEvent::kL2LinesInE, 1);
-        break;
-      case MesiState::kModified:
-        count(core, RawEvent::kL2LinesInM, 1);
-        break;
-      case MesiState::kInvalid:
-        break;
-    }
-    const auto evicted = node.l2.fill(line, state);
-    if (evicted) {
-      // Inclusion: the victim leaves L1 too; its dirtiness travels along.
-      const MesiState l1_victim = node.l1.invalidate(evicted->line_addr);
-      const bool dirty = evicted->state == MesiState::kModified ||
-                         l1_victim == MesiState::kModified;
-      if (dirty) {
-        count(core, RawEvent::kL2LinesOutDemandDirty, 1);
-        writeback_to_l3(socket_of(core), evicted->line_addr);
-      } else {
-        count(core, RawEvent::kL2LinesOutDemandClean, 1);
-      }
-    }
-  } else {
-    node.l2.set_state(line, state);
+  FSML_DCHECK(!node.l2.contains(line));
+  count(core, RawEvent::kL2Fill, 1);
+  record_fill_transition(core, state);
+  switch (state) {
+    case MesiState::kShared:
+      count(core, RawEvent::kL2LinesInS, 1);
+      break;
+    case MesiState::kExclusive:
+      count(core, RawEvent::kL2LinesInE, 1);
+      break;
+    case MesiState::kModified:
+      count(core, RawEvent::kL2LinesInM, 1);
+      break;
+    case MesiState::kInvalid:
+      break;
   }
+  const auto evicted = node.l2.fill(line, state);
+  if (evicted) {
+    // Inclusion: the victim leaves L1 too; its dirtiness travels along.
+    const MesiState l1_victim = node.l1.invalidate(evicted->line_addr);
+    const bool dirty = evicted->state == MesiState::kModified ||
+                       l1_victim == MesiState::kModified;
+    if (dirty) {
+      count(core, RawEvent::kL2LinesOutDemandDirty, 1);
+      writeback_to_l3(socket_of(core), evicted->line_addr);
+    } else {
+      count(core, RawEvent::kL2LinesOutDemandClean, 1);
+    }
+  }
+  if (also_l1) fill_l1(core, line, state);
+}
 
-  if (!fill_l1) return;
-  if (node.l1.state_of(line) == state) return;
+void MemorySystem::fill_l1(CoreId core, Addr line, MesiState state) {
+  CoreNode& node = nodes_[core];
+  FSML_DCHECK(!node.l1.contains(line) && node.l2.state_of(line) == state);
   count(core, RawEvent::kL1dReplacement, 1);
   const auto evicted = node.l1.fill(line, state);
   if (evicted) {
@@ -819,12 +723,13 @@ void MemorySystem::fill_l3(std::uint32_t socket, Addr line, MesiState state) {
   for (CoreId peer = 0; peer < nodes_.size(); ++peer) {
     if (socket_of(peer) != socket) continue;
     CoreNode& node = nodes_[peer];
-    const MesiState s = node.l2.state_of(evicted->line_addr);
+    const Cache::Slot l2 = node.l2.find(evicted->line_addr);
+    const MesiState s = node.l2.state(l2);
     if (s == MesiState::kInvalid) continue;
     if (s == MesiState::kModified) dirty = true;
     const MesiState l1s = node.l1.invalidate(evicted->line_addr);
     if (l1s == MesiState::kModified) dirty = true;
-    node.l2.invalidate(evicted->line_addr);
+    node.l2.invalidate(l2);
     count(peer, RawEvent::kInvalidationsReceived, 1);
     switch (s) {
       case MesiState::kModified:
@@ -848,8 +753,9 @@ void MemorySystem::fill_l3(std::uint32_t socket, Addr line, MesiState state) {
 }
 
 void MemorySystem::writeback_to_l3(std::uint32_t socket, Addr line) {
-  if (l3s_[socket].contains(line)) {
-    l3s_[socket].set_state(line, MesiState::kModified);
+  const Cache::Slot l3 = l3s_[socket].find(line);
+  if (l3.resident()) {
+    l3s_[socket].set_state(l3, MesiState::kModified);
   } else {
     fill_l3(socket, line, MesiState::kModified);
   }

@@ -69,29 +69,6 @@ class MemorySystem {
   AccessResult access(CoreId core, Addr addr, std::uint32_t size,
                       AccessType type, Cycles now);
 
-  /// Verdict of classify_access: whether applying the access would touch
-  /// only `core`-private state, and if so the exact latency access() will
-  /// charge for it.
-  struct AccessClass {
-    bool local = false;
-    Cycles latency = 0;
-  };
-
-  /// Read-only oracle for the epoch-parallel scheduler: decides whether
-  /// access() for these arguments would mutate only core-private state
-  /// (own L1/L2/DTLB/store-buffer/LFB/stream-table/counters, plus in-place
-  /// owner-state updates on lines this core already holds exclusively) —
-  /// in which case it commutes with other groups' local accesses and may
-  /// run without global ordering — or would reach shared structures
-  /// (directory probes, L3, peer snoops, DRAM, prefetch bursts, upgrades),
-  /// which must commit in exact (clock, tid) order. For a local verdict,
-  /// `latency` is exactly what access() will return; the scheduler uses it
-  /// as its conservative lookahead bound and cross-checks it at apply time.
-  AccessClass classify_access(CoreId core, Addr addr, std::uint32_t size,
-                              AccessType type, Cycles now) const;
-
-  bool has_observers() const { return !observers_.empty(); }
-
   /// Accounts `n` retired non-memory instructions on `core`.
   void retire_instructions(CoreId core, std::uint64_t n);
 
@@ -225,22 +202,20 @@ class MemorySystem {
   void maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
                              bool allocate);
 
-  /// Whether maybe_stream_prefetch(core, line, ...) would issue a burst
-  /// (and therefore probe the directory and touch shared fill state), as
-  /// opposed to doing nothing or only core-local bookkeeping. Read-only;
-  /// shares the frontier-matching and hysteresis logic above.
-  bool stream_would_prefetch(CoreId core, Addr line) const;
-
   /// Snoop `peer` for `line`; downgrades (read) or invalidates (write) and
   /// counts responder-side events. Returns the peer's prior state.
   MesiState snoop_peer(CoreId peer, Addr line, bool for_ownership);
 
-  /// Fills `line` into core's L2 (and, unless `fill_l1` is false, L1) in
-  /// `state`, handling evictions, inclusion back-invalidations and writeback
-  /// counting. Store misses leave L1 unfilled so that subsequent loads can
-  /// merge with the in-flight fill (LFB hit).
+  /// Fills `line`, which core's L2 does not hold, into that L2 (and, unless
+  /// `also_l1` is false, L1) in `state`, handling evictions, inclusion
+  /// back-invalidations and writeback counting. Prefetches leave L1
+  /// unfilled.
   void fill_private(CoreId core, Addr line, MesiState state,
-                    bool fill_l1 = true);
+                    bool also_l1 = true);
+
+  /// Fills `line`, which core's L2 holds in `state` and its L1 does not,
+  /// into the L1, writing a dirty victim back into the L2.
+  void fill_l1(CoreId core, Addr line, MesiState state);
 
   /// Fills into `socket`'s L3, back-invalidating the victim line in that
   /// socket's cores.

@@ -12,8 +12,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -27,7 +27,8 @@ namespace fsml::sim {
 /// memory system concurrently (they occupy distinct line-fill buffers on
 /// real parts), so one slow coherence transfer does not serialize the
 /// cheap L1-hit drains behind it. The core stalls only when `capacity`
-/// stores are outstanding.
+/// stores are outstanding. Storage is reserved at construction; the access
+/// path never allocates.
 class DrainQueue {
  public:
   explicit DrainQueue(std::uint32_t capacity, std::uint32_t ports = 4)
@@ -35,11 +36,12 @@ class DrainQueue {
     FSML_CHECK(capacity >= 1);
     FSML_CHECK(ports >= 1);
     port_free_.assign(ports_, 0);
+    q_.reserve(capacity);
   }
 
   /// Drops entries whose drain completed at or before `now`.
   void retire_completed(Cycles now) {
-    while (!q_.empty() && q_.front() <= now) q_.pop_front();
+    q_.erase(q_.begin(), std::upper_bound(q_.begin(), q_.end(), now));
   }
 
   /// Cycles the core must stall at `now` before a slot is free.
@@ -47,14 +49,6 @@ class DrainQueue {
   Cycles stall_until_slot(Cycles now) const {
     if (q_.size() < capacity_) return 0;
     return q_.front() > now ? q_.front() - now : 0;
-  }
-
-  /// What retire_completed(now) + stall_until_slot(now) would report,
-  /// without dropping completed entries (read-only access classification).
-  Cycles peek_stall(Cycles now) const {
-    const auto first_live = std::upper_bound(q_.begin(), q_.end(), now);
-    if (static_cast<std::size_t>(q_.end() - first_live) < capacity_) return 0;
-    return *first_live - now;
   }
 
   /// Enqueues a drain of `drain_latency` cycles starting when the least
@@ -79,7 +73,7 @@ class DrainQueue {
   std::uint32_t capacity_;
   std::uint32_t ports_;
   std::vector<Cycles> port_free_;
-  std::deque<Cycles> q_;
+  std::vector<Cycles> q_;  ///< outstanding completions, ascending
 };
 
 /// Small fully-associative buffer of in-flight line fills.
@@ -93,17 +87,7 @@ class LineFillBuffer {
   /// Completion time of an in-flight fill of `line`, if any is pending at
   /// `now` (expired entries are pruned lazily).
   std::optional<Cycles> pending_fill(Addr line, Cycles now) {
-    prune(now);
-    for (const Entry& e : entries_)
-      if (e.line == line) return e.completion;
-    return std::nullopt;
-  }
-
-  /// What pending_fill(line, now) would report, without pruning expired
-  /// entries (read-only access classification).
-  std::optional<Cycles> peek_pending_fill(Addr line, Cycles now) const {
-    for (const Entry& e : entries_)
-      if (e.line == line && e.completion > now) return e.completion;
+    if (const Entry* e = prune_and_find(line, now)) return e->completion;
     return std::nullopt;
   }
 
@@ -111,12 +95,9 @@ class LineFillBuffer {
   /// recycled when full (the hardware would stall; the timing difference is
   /// below the granularity this model cares about).
   void insert(Addr line, Cycles completion, Cycles now) {
-    prune(now);
-    for (Entry& e : entries_) {
-      if (e.line == line) {
-        e.completion = std::max(e.completion, completion);
-        return;
-      }
+    if (Entry* e = prune_and_find(line, now)) {
+      e->completion = std::max(e->completion, completion);
+      return;
     }
     if (entries_.size() < capacity_) {
       entries_.push_back({line, completion});
@@ -136,8 +117,20 @@ class LineFillBuffer {
     Cycles completion = 0;
   };
 
-  void prune(Cycles now) {
-    std::erase_if(entries_, [now](const Entry& e) { return e.completion <= now; });
+  /// Drops fills completed at or before `now`, keeping the rest in order,
+  /// and returns the entry for `line` if one is still in flight: one pass.
+  /// Inserts merge by line, so at most one entry matches.
+  Entry* prune_and_find(Addr line, Cycles now) {
+    Entry* found = nullptr;
+    std::size_t live = 0;
+    for (const Entry e : entries_) {
+      if (e.completion <= now) continue;
+      entries_[live] = e;
+      if (e.line == line) found = &entries_[live];
+      ++live;
+    }
+    entries_.resize(live);
+    return found;
   }
 
   std::uint32_t capacity_;

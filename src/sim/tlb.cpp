@@ -8,7 +8,9 @@
 namespace fsml::sim {
 
 Dtlb::Dtlb(std::uint32_t entries, std::uint32_t ways, std::uint32_t page_bytes)
-    : ways_(ways), page_bytes_(page_bytes) {
+    : ways_(ways),
+      page_bytes_(page_bytes),
+      page_shift_(static_cast<unsigned>(std::countr_zero(page_bytes))) {
   FSML_CHECK(entries > 0 && ways > 0 && entries % ways == 0);
   FSML_CHECK(std::has_single_bit(static_cast<std::uint64_t>(page_bytes)));
   num_sets_ = entries / ways;
@@ -17,7 +19,7 @@ Dtlb::Dtlb(std::uint32_t entries, std::uint32_t ways, std::uint32_t page_bytes)
 }
 
 bool Dtlb::access(Addr addr) {
-  const std::uint64_t vpn = addr / page_bytes_;
+  const std::uint64_t vpn = addr >> page_shift_;
   const std::uint64_t set = vpn & (num_sets_ - 1);
   Entry* base = &entries_[set * ways_];
   for (std::uint32_t w = 0; w < ways_; ++w) {
@@ -39,15 +41,6 @@ bool Dtlb::access(Addr addr) {
   victim->vpn = vpn;
   victim->valid = true;
   victim->lru_stamp = ++stamp_;
-  return false;
-}
-
-bool Dtlb::would_hit(Addr addr) const {
-  const std::uint64_t vpn = addr / page_bytes_;
-  const std::uint64_t set = vpn & (num_sets_ - 1);
-  const Entry* base = &entries_[set * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w)
-    if (base[w].valid && base[w].vpn == vpn) return true;
   return false;
 }
 

@@ -19,10 +19,6 @@ class Dtlb {
   /// Translates; returns true on hit. On miss, installs the mapping (LRU).
   bool access(Addr addr);
 
-  /// Whether access(addr) would hit, without installing or touching LRU
-  /// state (the parallel scheduler's read-only access classifier).
-  bool would_hit(Addr addr) const;
-
   void reset();
 
   std::uint32_t page_bytes() const { return page_bytes_; }
@@ -36,6 +32,7 @@ class Dtlb {
 
   std::uint32_t ways_;
   std::uint32_t page_bytes_;
+  unsigned page_shift_;  ///< log2(page_bytes_)
   std::uint64_t num_sets_;
   std::vector<Entry> entries_;  // sets_ * ways_ flattened
   std::uint64_t stamp_ = 0;

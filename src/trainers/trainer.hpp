@@ -61,10 +61,6 @@ struct TrainerParams {
   /// (per-job deadlines under par::Supervisor). Must outlive the run;
   /// nullptr disables polling.
   const std::atomic<bool>* cancel = nullptr;
-  /// Host threads for the epoch-parallel scheduler
-  /// (Machine::set_host_threads). 1 = serial; any value produces
-  /// bit-identical counters and features.
-  std::uint32_t sim_host_threads = 1;
 };
 
 class MiniProgram {

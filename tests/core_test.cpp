@@ -11,7 +11,9 @@
 #include "core/detector.hpp"
 #include "core/event_selection.hpp"
 #include "core/training.hpp"
+#include "test_support.hpp"
 #include "util/check.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -113,6 +115,17 @@ TEST(TrainingBitIdentity, CoherenceDirectoryDoesNotChangeCacheBytes) {
   EXPECT_EQ(a.str(), b.str());  // byte-identical cache
 }
 
+TEST(TrainingBitIdentity, ReducedGridCrcPinned) {
+  // The reduced grid at seed 42 serializes to these exact bytes, the same
+  // pin perfbench's self-test checks. A simulator change that moves one
+  // counter, cycle or feature anywhere in the grid changes the CRC.
+  const core::TrainingData& data = reduced_data();
+  ASSERT_EQ(data.instances.size(), 210u);
+  std::stringstream csv;
+  data.save_csv(csv);
+  EXPECT_EQ(util::crc32(csv.str()), 0x0af63b50u);
+}
+
 TEST(Training, LoadCsvRejectsGarbage) {
   std::stringstream ss("not a training file");
   EXPECT_THROW(core::TrainingData::load_csv(ss), std::exception);
@@ -160,7 +173,7 @@ TEST(Training, SaveCsvRoundTripsThroughFooter) {
 
 class TrainingCache : public ::testing::Test {
  protected:
-  TrainingCache() : path_(::testing::TempDir() + "fsml_cache_test.csv") {
+  TrainingCache() : path_(unique_temp_path("cache_test.csv")) {
     std::remove(path_.c_str());
     config_ = core::TrainingConfig::reduced();
     config_.thread_counts = {3};  // smallest useful grid: re-collected twice

@@ -3,7 +3,10 @@
 // the synchronization primitives' atomicity under the DES scheduler.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 
 #include "exec/machine.hpp"
 #include "exec/sync.hpp"
@@ -193,6 +196,64 @@ TEST(Machine, PerThreadRngStreamsDiffer) {
   }
   m.run();
   EXPECT_NE(draws[0], draws[1]);
+}
+
+// ---- failure paths of a multi-core run -------------------------------------
+// Several simulated threads run at once; cancellation (also from another host
+// thread) and kernel exceptions surface in the scheduler's min-clock order.
+
+TEST(ParallelMachine, FirstKernelExceptionWinsLikeSerial) {
+  // Two kernels throw at different virtual times; run() surfaces the one
+  // the scheduler reaches first.
+  exec::Machine m(sim::MachineConfig::tiny(6), 1);
+  const sim::Addr base = m.arena().alloc_line_aligned(64 * 6);
+  for (std::uint32_t t = 0; t < 6; ++t) {
+    m.spawn([t, a = base + 64 * t](exec::ThreadCtx& ctx) -> exec::SimTask {
+      for (int i = 0; i < 500; ++i) {
+        co_await ctx.load(a);
+        if (t == 2 && i == 10) throw std::runtime_error("boom-early");
+        if (t == 4 && i == 400) throw std::runtime_error("boom-late");
+      }
+    });
+  }
+  try {
+    m.run();
+    FAIL() << "expected a kernel exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom-early");
+  }
+}
+
+TEST(ParallelCancellation, PresetFlagCancelsPromptly) {
+  exec::Machine m(sim::MachineConfig::tiny(4), 1);
+  std::atomic<bool> cancel{true};
+  m.set_cancel_flag(&cancel);
+  const sim::Addr base = m.arena().alloc_line_aligned(64 * 4);
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    m.spawn([a = base + 64 * t](exec::ThreadCtx& ctx) -> exec::SimTask {
+      for (int i = 0; i < 2'000'000; ++i) co_await ctx.load(a);
+    });
+  }
+  EXPECT_THROW(m.run(), exec::Cancelled);
+}
+
+TEST(ParallelCancellation, MidRunFlagStopsAnUnboundedKernel) {
+  // The kernels never finish; only the polled flag ends the run.
+  exec::Machine m(sim::MachineConfig::tiny(4), 1);
+  std::atomic<bool> cancel{false};
+  m.set_cancel_flag(&cancel);
+  const sim::Addr base = m.arena().alloc_line_aligned(64 * 4);
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    m.spawn([a = base + 64 * t](exec::ThreadCtx& ctx) -> exec::SimTask {
+      for (;;) co_await ctx.load(a);
+    });
+  }
+  std::thread trigger([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cancel.store(true);
+  });
+  EXPECT_THROW(m.run(), exec::Cancelled);
+  trigger.join();
 }
 
 // ---- sync primitives ------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "core/journal.hpp"
 #include "core/training.hpp"
 #include "fault/fault.hpp"
+#include "test_support.hpp"
 #include "trainers/trainer.hpp"
 
 namespace {
@@ -41,7 +42,7 @@ bool file_exists(const std::string& path) {
 
 class JournalFile : public ::testing::Test {
  protected:
-  JournalFile() : path_(::testing::TempDir() + "fsml_journal_test.journal") {
+  JournalFile() : path_(unique_temp_path("journal_test.journal")) {
     std::remove(path_.c_str());
   }
   ~JournalFile() override { std::remove(path_.c_str()); }
@@ -163,8 +164,8 @@ bool same_instance(const core::LabeledInstance& a,
 class ResumeFiles : public ::testing::Test {
  protected:
   ResumeFiles()
-      : cache_(::testing::TempDir() + "fsml_resume_cache.csv"),
-        clean_(::testing::TempDir() + "fsml_resume_clean.csv") {
+      : cache_(unique_temp_path("resume_cache.csv")),
+        clean_(unique_temp_path("resume_clean.csv")) {
     cleanup();
   }
   ~ResumeFiles() override { cleanup(); }

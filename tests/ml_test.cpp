@@ -15,6 +15,7 @@
 #include "ml/knn.hpp"
 #include "ml/naive_bayes.hpp"
 #include "ml/simple.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -620,7 +621,7 @@ TEST(ModelIo, LegacyBarePayloadStillLoads) {
 }
 
 TEST(ModelIo, FileRoundTripThroughAtomicWrite) {
-  const std::string path = ::testing::TempDir() + "fsml_model_io_test.model";
+  const std::string path = unique_temp_path("model_io_test.model");
   std::remove(path.c_str());
   const ml::C45Tree tree = trained_tree();
   ml::save_model_file(tree, path);

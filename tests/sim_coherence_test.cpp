@@ -443,6 +443,23 @@ TEST(DirectoryBitIdentity, CountersAndLatenciesMatchReferenceScan) {
           << sim::raw_event_name(static_cast<RawEvent>(e));
 }
 
+TEST(DirectoryAutoSelect, SmallMachinesUseTheSnoopScan) {
+  // At 1-2 cores a directory probe costs more than scanning the only other
+  // L2 (the 0.946x row of an earlier BENCH_sim.json); auto-select turns it
+  // off there unless explicitly forced.
+  EXPECT_FALSE(sim::MachineConfig::tiny(1).directory_enabled());
+  EXPECT_FALSE(sim::MachineConfig::tiny(2).directory_enabled());
+  EXPECT_TRUE(sim::MachineConfig::tiny(3).directory_enabled());
+  EXPECT_TRUE(sim::MachineConfig::westmere_dp(12).directory_enabled());
+
+  sim::MachineConfig forced_on = sim::MachineConfig::tiny(2);
+  forced_on.use_coherence_directory = true;
+  EXPECT_TRUE(forced_on.directory_enabled());
+  sim::MachineConfig forced_off = sim::MachineConfig::westmere_dp(12);
+  forced_off.use_coherence_directory = false;
+  EXPECT_FALSE(forced_off.directory_enabled());
+}
+
 TEST(Observer, DeliversEveryAccessWithFinalLevel) {
   struct Recorder : sim::AccessObserver {
     std::vector<sim::AccessRecord> records;

@@ -3,11 +3,19 @@
 // drain queue and the line-fill buffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/cache.hpp"
 #include "sim/geometry.hpp"
+#include "sim/machine_config.hpp"
 #include "sim/store_buffer.hpp"
 #include "sim/tlb.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -139,6 +147,183 @@ TEST(Cache, FillPrefersInvalidWays) {
   const auto ev = c.fill(0x0100, MesiState::kExclusive);
   EXPECT_FALSE(ev.has_value());
   EXPECT_EQ(c.state_of(0x0080), MesiState::kExclusive);
+}
+
+TEST(Cache, SlotReusesOneLookup) {
+  sim::Cache c = tiny_cache();
+  c.fill(0x0040, MesiState::kExclusive);
+  const sim::Cache::Slot hit = c.touch(0x0044);
+  ASSERT_TRUE(hit.resident());
+  EXPECT_EQ(hit.line, 0x0040u);
+  c.set_state(hit, MesiState::kModified);
+  EXPECT_EQ(c.state_of(0x0040), MesiState::kModified);
+  EXPECT_EQ(c.invalidate(hit), MesiState::kModified);
+  EXPECT_FALSE(c.find(0x0040).resident());
+  EXPECT_EQ(c.state(c.find(0x0040)), MesiState::kInvalid);
+}
+
+// ---- cache differential test ---------------------------------------------------
+
+/// Reference tag store: a vector of ways per set, indexed through
+/// CacheGeometry::set_index/tag, whose fill() makes separate find,
+/// first-invalid and std::min_element passes. sim::Cache packs keys,
+/// indexes by shift and mask, and fills in one pass; it must agree with
+/// this model on every result.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const sim::CacheGeometry& g)
+      : g_(g), sets_(g.num_sets(), std::vector<Way>(g.ways)) {}
+
+  MesiState state_of(sim::Addr a) const {
+    const Way* w = find(a);
+    return w ? w->state : MesiState::kInvalid;
+  }
+  MesiState touch(sim::Addr a) {
+    Way* w = find(a);
+    if (!w) return MesiState::kInvalid;
+    w->stamp = ++stamp_;
+    return w->state;
+  }
+  void set_state(sim::Addr a, MesiState s) { find(a)->state = s; }
+  MesiState invalidate(sim::Addr a) {
+    Way* w = find(a);
+    return w ? std::exchange(w->state, MesiState::kInvalid)
+             : MesiState::kInvalid;
+  }
+  std::optional<sim::Eviction> fill(sim::Addr a, MesiState s) {
+    if (Way* w = find(a)) {
+      w->state = s;
+      w->stamp = ++stamp_;
+      return std::nullopt;
+    }
+    std::vector<Way>& set = sets_[g_.set_index(a)];
+    auto victim = std::find_if(set.begin(), set.end(), [](const Way& w) {
+      return w.state == MesiState::kInvalid;
+    });
+    std::optional<sim::Eviction> eviction;
+    if (victim == set.end()) {
+      victim = std::min_element(
+          set.begin(), set.end(),
+          [](const Way& x, const Way& y) { return x.stamp < y.stamp; });
+      eviction = sim::Eviction{
+          (victim->tag * g_.num_sets() + g_.set_index(a)) * g_.line_bytes,
+          victim->state};
+    }
+    *victim = Way{g_.tag(a), s, ++stamp_};
+    return eviction;
+  }
+  std::vector<std::pair<sim::Addr, MesiState>> lines() const {
+    std::vector<std::pair<sim::Addr, MesiState>> out;
+    for (std::uint64_t s = 0; s < sets_.size(); ++s)
+      for (const Way& w : sets_[s])
+        if (w.state != MesiState::kInvalid)
+          out.emplace_back((w.tag * g_.num_sets() + s) * g_.line_bytes,
+                           w.state);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    MesiState state = MesiState::kInvalid;
+    std::uint64_t stamp = 0;
+  };
+
+  Way* find(sim::Addr a) {
+    for (Way& w : sets_[g_.set_index(a)])
+      if (w.state != MesiState::kInvalid && w.tag == g_.tag(a)) return &w;
+    return nullptr;
+  }
+  const Way* find(sim::Addr a) const {
+    return const_cast<ReferenceCache*>(this)->find(a);
+  }
+
+  sim::CacheGeometry g_;
+  std::vector<std::vector<Way>> sets_;
+  std::uint64_t stamp_ = 0;
+};
+
+std::vector<std::pair<sim::Addr, MesiState>> lines_of(const sim::Cache& c) {
+  std::vector<std::pair<sim::Addr, MesiState>> out;
+  c.for_each_line([&](sim::Addr a, MesiState s) { out.emplace_back(a, s); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Seeded fill/touch/set_state/invalidate traffic against both models.
+/// Most addresses land in three hot sets with more candidate lines than
+/// ways, so fills keep evicting; a few carry tags far above 2^32.
+void expect_matches_reference(const sim::CacheGeometry& g,
+                              std::uint64_t seed) {
+  sim::Cache cache(g);
+  ReferenceCache ref(g);
+  util::Rng rng(seed);
+  const std::uint64_t sets = g.num_sets();
+  const MesiState kValid[] = {MesiState::kShared, MesiState::kExclusive,
+                              MesiState::kModified};
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t set = rng.next_bool(0.8)
+                                  ? rng.next_below(std::min<std::uint64_t>(3, sets))
+                                  : rng.next_below(sets);
+    std::uint64_t tag = rng.next_below(2 * g.ways + 1);
+    if (rng.next_bool(0.05)) tag += std::uint64_t{1} << 36;
+    const sim::Addr addr =
+        (tag * sets + set) * g.line_bytes + rng.next_below(g.line_bytes);
+    const MesiState state = kValid[rng.next_below(3)];
+    const std::string where = "op " + std::to_string(op) + " addr " +
+                              std::to_string(addr) + " (" +
+                              std::to_string(sets) + " sets)";
+    switch (rng.next_below(5)) {
+      case 0:
+      case 1: {
+        const auto got = cache.fill(addr, state);
+        const auto want = ref.fill(addr, state);
+        ASSERT_EQ(got.has_value(), want.has_value()) << where;
+        if (want) {
+          ASSERT_EQ(got->line_addr, want->line_addr) << where;
+          ASSERT_EQ(got->state, want->state) << where;
+        }
+        break;
+      }
+      case 2:
+        ASSERT_EQ(cache.state(cache.touch(addr)), ref.touch(addr)) << where;
+        break;
+      case 3:
+        if (ref.state_of(addr) != MesiState::kInvalid) {
+          cache.set_state(addr, state);
+          ref.set_state(addr, state);
+        }
+        break;
+      default:
+        ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr)) << where;
+        break;
+    }
+    ASSERT_EQ(cache.state_of(addr), ref.state_of(addr)) << where;
+  }
+  const auto want = ref.lines();
+  EXPECT_EQ(cache.occupancy(), want.size());
+  EXPECT_EQ(lines_of(cache), want);
+}
+
+TEST(Cache, MatchesReferenceModelOnEveryGeometry) {
+  const sim::MachineConfig westmere = sim::MachineConfig::westmere_dp();
+  const sim::MachineConfig tiny = sim::MachineConfig::tiny();
+  const std::pair<const char*, sim::CacheGeometry> geometries[] = {
+      {"L1D (64 sets)", westmere.l1d},
+      {"L2 (512 sets)", westmere.l2},
+      {"L3 (12288 sets)", westmere.l3},
+      {"xeon32 L3 (24576 sets)", sim::MachineConfig::xeon32().l3},
+      {"tiny L1D", tiny.l1d},
+      {"tiny L2", tiny.l2},
+      {"tiny L3", tiny.l3},
+  };
+  for (const auto& [name, geometry] : geometries) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE(std::string(name) + ", seed " + std::to_string(seed));
+      expect_matches_reference(geometry, seed);
+    }
+  }
 }
 
 // ---- dtlb --------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "test_support.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
@@ -295,7 +296,7 @@ TEST(Crc32, DetectsSingleBitFlip) {
 
 class AtomicFileTest : public ::testing::Test {
  protected:
-  AtomicFileTest() : path_(::testing::TempDir() + "fsml_atomic_test.txt") {
+  AtomicFileTest() : path_(unique_temp_path("atomic_test.txt")) {
     std::remove(path_.c_str());
   }
   ~AtomicFileTest() override { std::remove(path_.c_str()); }

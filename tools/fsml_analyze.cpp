@@ -66,9 +66,6 @@ int usage() {
       "            --jobs=N     (host threads for collection; default = all\n"
       "                          hardware threads, 1 = serial; any N yields\n"
       "                          bit-identical training data)\n"
-      "            --sim-host-threads=N (host threads INSIDE each simulated\n"
-      "                          machine: the epoch-parallel scheduler;\n"
-      "                          default 1 = serial, any N bit-identical)\n"
       "            --inject-abort-after=N --fault-rate=R --fault-seed=N\n"
       "                         (deterministic fault injection: crash after\n"
       "                          N completed jobs / transient throw rate R;\n"
@@ -134,14 +131,6 @@ std::size_t cli_jobs(const util::Cli& cli) {
                    : static_cast<std::size_t>(jobs);
 }
 
-std::uint32_t cli_sim_host_threads(const util::Cli& cli) {
-  const std::int64_t n = cli.get_int("sim-host-threads", 1);
-  if (n < 1 || n > 1024)
-    throw std::runtime_error(
-        "option --sim-host-threads expects 1..1024, got " + std::to_string(n));
-  return static_cast<std::uint32_t>(n);
-}
-
 core::FalseSharingDetector load_or_train(const util::Cli& cli) {
   // --load-model is strict: a missing, corrupt, or schema-mismatched file
   // is a hard error (exit 1 via main's catch), never silently retrained
@@ -181,7 +170,6 @@ int cmd_train(const util::Cli& cli) {
   if (cli.get_bool("reduced", false)) config = core::TrainingConfig::reduced();
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   config.jobs = cli_jobs(cli);
-  config.sim_host_threads = cli_sim_host_threads(cli);
 
   core::CollectOptions options;
   options.resume = cli.get_bool("resume", false);
