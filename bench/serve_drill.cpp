@@ -12,16 +12,12 @@
 //   * conservation — every admitted session gets exactly one terminal
 //     record (lost_sessions == 0), no matter how the drill misbehaves;
 //   * zero false positives — no good-labelled session ever receives a
-//     known bad verdict; overload degrades to explicit abstention instead;
-//   * engine equivalence — replaying each scenario on the pointer-tree
-//     reference (--flat=0 internally) reproduces the flat-kernel
-//     fingerprint bit-exactly.
+//     known bad verdict; overload degrades to explicit abstention instead.
 //
-// Each scenario also times the classify engines on a seeded vector pool
-// (clean + NaN-degraded feature vectors drawn from the drill templates):
-// pointer-tree single-vector, flat single-vector, and flat batch
-// (classify_many) throughput in vectors/second. Results are written to
-// BENCH_serve.json (schema fsml-bench-serve-v2) for the CI artifact trail.
+// Results are written to BENCH_serve.json (schema fsml-bench-serve-v3): a
+// host block (CPUs, build type — wall-clock figures only compare within one
+// host) and one object per scenario with its outcome counts, fingerprint,
+// classify p50/p99 and sessions/second.
 //
 // Options (beyond bench_common.hpp's standard ones):
 //   --sessions=48        clients per scenario (4..100000)
@@ -31,19 +27,14 @@
 //                        by the CI smoke job) instead of the cached full set
 //   --out=BENCH_serve.json  JSON artifact path (empty string disables)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <limits>
-#include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "ml/c45.hpp"
-#include "ml/flat_tree.hpp"
-#include "pmu/counters.hpp"
 #include "serve/drill.hpp"
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
@@ -131,89 +122,6 @@ std::vector<Scenario> make_scenarios(std::size_t sessions,
   return out;
 }
 
-/// Classify-engine throughput on a seeded pool of feature vectors,
-/// measured per scenario so the artifact records flat-vs-pointer and
-/// batch-vs-single side by side with the storm it accompanies.
-struct ClassifyThroughput {
-  double pointer_single_vps = 0.0;  ///< C45Tree::predict, scratch reused
-  double flat_single_vps = 0.0;     ///< FlatTree::predict, one row at a time
-  double flat_batch_vps = 0.0;      ///< FlatTree::classify_many, one call
-};
-
-/// Best-of-reps vectors/second for one timed body.
-template <typename Body>
-double best_vps(std::size_t vectors, Body&& body) {
-  double best = 0.0;
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const double dt = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    if (dt > 0.0)
-      best = std::max(best, static_cast<double>(vectors) / dt);
-  }
-  return best;
-}
-
-ClassifyThroughput bench_classify(const core::FalseSharingDetector& detector,
-                                  const std::vector<core::EvalRun>& templates,
-                                  std::uint64_t salt) {
-  const ml::C45Tree& tree = detector.model();
-  const ml::FlatTree& flat = *detector.flat();
-
-  // A deterministic pool of rows drawn from the template features, with
-  // every 7th row given one NaN slot so the fractional-instance descent is
-  // part of what gets timed. `salt` rotates the draw per scenario.
-  constexpr std::size_t kVectors = 2048;
-  std::vector<double> rows(kVectors * pmu::kNumFeatures);
-  for (std::size_t i = 0; i < kVectors; ++i) {
-    pmu::FeatureVector f =
-        templates[(i + salt) % templates.size()].clean_features;
-    if (i % 7 == 3) f.set((i + salt) % pmu::kNumFeatures,
-                          std::numeric_limits<double>::quiet_NaN());
-    std::copy(f.values().begin(), f.values().end(),
-              rows.begin() + static_cast<std::ptrdiff_t>(
-                                 i * pmu::kNumFeatures));
-  }
-  const auto row = [&rows](std::size_t i) {
-    return std::span<const double>(rows.data() + i * pmu::kNumFeatures,
-                                   pmu::kNumFeatures);
-  };
-
-  // Reference labels from the pointer tree; every timed engine must agree.
-  std::vector<double> scratch(flat.num_classes());
-  std::vector<int> reference(kVectors);
-  for (std::size_t i = 0; i < kVectors; ++i)
-    reference[i] = tree.predict(row(i), scratch);
-
-  ClassifyThroughput out;
-  long long sink = 0;
-
-  // `sink` keeps the timed loops observable; +1 keeps it nonzero even when
-  // every label is class 0.
-  out.pointer_single_vps = best_vps(kVectors, [&] {
-    for (std::size_t i = 0; i < kVectors; ++i)
-      sink += tree.predict(row(i), scratch) + 1;
-  });
-  out.flat_single_vps = best_vps(kVectors, [&] {
-    for (std::size_t i = 0; i < kVectors; ++i)
-      sink += flat.predict(row(i)) + 1;
-  });
-  std::vector<int> labels(kVectors);
-  out.flat_batch_vps = best_vps(kVectors, [&] {
-    flat.classify_many(rows, pmu::kNumFeatures, labels);
-    sink += labels[0] + 1;
-  });
-
-  FSML_CHECK_MSG(labels == reference && sink != 0,
-                 "flat classify throughput bench diverged from the "
-                 "pointer-tree reference");
-  for (std::size_t i = 0; i < kVectors; ++i)
-    FSML_CHECK(flat.predict(row(i)) == reference[i]);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -241,18 +149,21 @@ int main(int argc, char** argv) {
         serve::drill_templates(seed, jobs, &std::cerr);
 
     util::Table table({"scenario", "records", "verdicts", "abstain", "shed",
-                       "p99", "shed-rate", "ptr-vps", "flat-vps",
-                       "batch-vps", "fingerprint"});
+                       "p99", "shed-rate", "fingerprint"});
     for (std::size_t col = 1; col < table.num_columns(); ++col)
       table.set_align(col, util::Align::kRight);
 
-    std::string json = "{\n  \"schema\": \"fsml-bench-serve-v2\",\n";
+    const unsigned host_cpus =
+        std::max(1u, std::thread::hardware_concurrency());
+    std::string json = std::string("{\n  \"schema\": \"") +
+                       serve::kBenchServeSchema + "\",\n";
+    json += "  \"host\": {\"cpus\": " + std::to_string(host_cpus) +
+            ", \"build_type\": \"" + FSML_BUILD_TYPE + "\"},\n";
     json += "  \"seed\": " + std::to_string(seed) + ",\n";
     json += "  \"sessions\": " + std::to_string(sessions) + ",\n";
     json += "  \"scenarios\": [\n";
 
     bool first = true;
-    std::uint64_t salt = 0;
     for (const Scenario& scenario : make_scenarios(sessions, seed)) {
       serve::DrillConfig config = scenario.config;
       config.jobs = jobs;
@@ -280,51 +191,18 @@ int main(int argc, char** argv) {
                            "' verdict set depends on --jobs");
       }
 
-      // Contract 4: the flat kernel and the pointer-tree reference produce
-      // the same verdict set, bit for bit.
-      serve::DrillConfig pointer_mode = scenario.config;
-      pointer_mode.jobs = jobs;
-      pointer_mode.server.robust.use_flat_tree = false;
-      const serve::DrillReport pointer_replay =
-          serve::run_drill(detector, templates, pointer_mode, nullptr);
-      FSML_CHECK_MSG(pointer_replay.fingerprint == report.fingerprint &&
-                         pointer_replay.records.size() ==
-                             report.records.size(),
-                     "drill '" + scenario.name +
-                         "' flat-tree verdicts diverge from the "
-                         "pointer-tree reference");
-
-      const ClassifyThroughput vps =
-          bench_classify(detector, templates, salt++);
-
-      char p99[24], rate[24], fp[16], ptr_v[24], flat_v[24], batch_v[24];
+      char p99[24], rate[24], fp[16];
       std::snprintf(p99, sizeof p99, "%llu",
                     static_cast<unsigned long long>(report.latency_p99_steps));
       std::snprintf(rate, sizeof rate, "%.2f", report.shed_rate);
       std::snprintf(fp, sizeof fp, "%08x", report.fingerprint);
-      std::snprintf(ptr_v, sizeof ptr_v, "%.2fM",
-                    vps.pointer_single_vps / 1e6);
-      std::snprintf(flat_v, sizeof flat_v, "%.2fM",
-                    vps.flat_single_vps / 1e6);
-      std::snprintf(batch_v, sizeof batch_v, "%.2fM",
-                    vps.flat_batch_vps / 1e6);
       table.add_row({scenario.name, std::to_string(report.records.size()),
                      std::to_string(report.verdicts),
                      std::to_string(report.abstained),
-                     std::to_string(report.shed), p99, rate, ptr_v, flat_v,
-                     batch_v, fp});
-
-      char extra[320];
-      std::snprintf(extra, sizeof extra,
-                    "\"flat_pointer_match\": true,\n      "
-                    "\"classify_vps_pointer_single\": %.0f,\n      "
-                    "\"classify_vps_flat_single\": %.0f,\n      "
-                    "\"classify_vps_flat_batch\": %.0f",
-                    vps.pointer_single_vps, vps.flat_single_vps,
-                    vps.flat_batch_vps);
+                     std::to_string(report.shed), p99, rate, fp});
 
       std::ostringstream entry;
-      report.write_json(entry, scenario.name, config, extra);
+      report.write_json(entry, scenario.name, config);
       json += (first ? "" : ",\n") + entry.str();
       first = false;
     }
@@ -335,8 +213,7 @@ int main(int argc, char** argv) {
     table.render(std::cout);
     std::printf(
         "\nAll scenarios: 0 false positives, 0 lost sessions, verdict sets "
-        "bit-identical across --jobs and across flat/pointer classify "
-        "engines.\n");
+        "bit-identical across --jobs.\n");
 
     if (!out_path.empty()) {
       util::write_file_atomic(out_path, json);

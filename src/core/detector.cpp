@@ -33,6 +33,26 @@ std::string RobustVerdict::to_string() const {
   return os.str();
 }
 
+namespace {
+
+/// The one schema a detector trains and loads: the 15 normalized Westmere
+/// features and the three class labels, in order. `source` names what was
+/// checked; `fix` is appended to the error to say how to repair it.
+void check_schema(const std::vector<std::string>& attributes,
+                  const std::vector<std::string>& classes,
+                  const std::string& source, const std::string& fix) {
+  if (attributes == pmu::FeatureVector::feature_names() &&
+      classes == class_names())
+    return;
+  throw std::runtime_error(
+      source +
+      " has a different schema than this build expects (the 15 normalized "
+      "Westmere features; classes good, bad-fs, bad-ma)" +
+      fix);
+}
+
+}  // namespace
+
 FalseSharingDetector::FalseSharingDetector(ml::C45Params params)
     : tree_(params) {}
 
@@ -41,24 +61,15 @@ void FalseSharingDetector::train(const TrainingData& data) {
 }
 
 void FalseSharingDetector::train(const ml::Dataset& dataset) {
-  FSML_CHECK_MSG(dataset.num_attributes() == pmu::kNumFeatures,
-                 "detector expects the 15 normalized Westmere features");
+  check_schema(dataset.attribute_names(), dataset.class_names(),
+               "training dataset", "");
   tree_.train(dataset);
-  flat_ = tree_.compile();
   trained_ = true;
 }
 
 trainers::Mode FalseSharingDetector::classify(
     const pmu::FeatureVector& features) const {
   FSML_CHECK_MSG(trained_, "detector is not trained");
-  if (flat_ != nullptr) {
-    const int label = flat_->predict(features.values());
-    // The pointer tree stays the cross-validation reference: debug builds
-    // verify every flat lookup against it, like the coherence directory
-    // verifies against the snoop scan.
-    FSML_DCHECK(label == tree_.predict(features.values()));
-    return mode_of(label);
-  }
   return mode_of(tree_.predict(features.values()));
 }
 
@@ -70,35 +81,17 @@ RobustVerdict FalseSharingDetector::classify_robust(
   RobustVerdict out;
   out.repeats = static_cast<std::size_t>(config.repeats);
 
-  // Gather every usable measurement into one contiguous row-major block so
-  // the classify stage runs once over the batch (and so the vote loop does
-  // no per-measurement allocation — the old path built a distribution
-  // vector per NaN descent).
-  std::vector<double> rows;
-  rows.reserve(out.repeats * pmu::kNumFeatures);
+  // One scratch buffer, one slot per class, absorbs the fractional NaN
+  // descent of every repeat, so the vote loop does not allocate.
+  std::array<double, 3> scratch{};
   for (std::size_t r = 0; r < out.repeats; ++r) {
     const std::optional<pmu::FeatureVector> features = measure(r);
     if (!features) continue;  // unusable measurement; retry bounded by loop
-    rows.insert(rows.end(), features->values().begin(),
-                features->values().end());
+    ++out.votes[static_cast<std::size_t>(
+        tree_.predict(features->values(), scratch))];
     ++out.classified;
   }
   if (out.classified == 0) return out;  // nothing usable: unknown
-
-  std::vector<int> labels(out.classified);
-  if (config.use_flat_tree && flat_ != nullptr) {
-    flat_->classify_many(rows, pmu::kNumFeatures, labels);
-#ifndef NDEBUG
-    // Per-lookup cross-check against the pointer-tree reference.
-    std::vector<int> reference(out.classified);
-    tree_.classify_many(rows, pmu::kNumFeatures, reference);
-    FSML_DCHECK(labels == reference);
-#endif
-  } else {
-    tree_.classify_many(rows, pmu::kNumFeatures, labels);
-  }
-  for (const int label : labels)
-    ++out.votes[static_cast<std::size_t>(label)];
 
   // Same severity-ordered scan as majority(): ties go to the worse verdict.
   const std::array<int, 3> severity_order = {kBadFs, kBadMa, kGood};
@@ -147,9 +140,8 @@ void FalseSharingDetector::save(std::ostream& os) const {
 FalseSharingDetector FalseSharingDetector::load(std::istream& is) {
   FalseSharingDetector detector;
   detector.tree_ = ml::C45Tree::load(is);
-  // Model files persist only the pointer tree; the flat serving form is
-  // always recompiled from it on load (single source of truth).
-  detector.flat_ = detector.tree_.compile();
+  check_schema(detector.tree_.attribute_names(), detector.tree_.class_names(),
+               "model", " — retrain with `fsml_analyze train`");
   detector.trained_ = true;
   return detector;
 }
@@ -165,12 +157,10 @@ void FalseSharingDetector::save_file(const std::string& path) const {
 FalseSharingDetector FalseSharingDetector::load_file(const std::string& path) {
   FalseSharingDetector detector;
   detector.tree_ = ml::load_model_file(path);
-  if (pmu::FeatureVector::feature_names() != detector.tree_.attribute_names())
-    throw std::runtime_error(
-        path + ": model was trained with a different feature schema than "
-               "this build expects — retrain with `fsml_analyze train "
-               "--save-model=" + path + "`");
-  detector.flat_ = detector.tree_.compile();
+  check_schema(detector.tree_.attribute_names(), detector.tree_.class_names(),
+               path + ": model",
+               " — retrain with `fsml_analyze train --save-model=" + path +
+                   "`");
   detector.trained_ = true;
   return detector;
 }

@@ -35,7 +35,6 @@
 #include "core/training.hpp"
 #include "exec/machine.hpp"
 #include "ml/c45.hpp"
-#include "ml/flat_tree.hpp"
 #include "pmu/counters.hpp"
 #include "pmu/noise.hpp"
 
@@ -50,14 +49,6 @@ struct RobustConfig {
   /// Minimum fraction of classified measurements the winning verdict must
   /// hold; below it the detector abstains (verdict `unknown`).
   double min_confidence = 0.6;
-
-  /// Classify engine for the vote loop: the compiled ml::FlatTree batch
-  /// kernel (default) or the pointer tree, kept as the cross-validation
-  /// reference exactly like sim::MachineConfig::use_coherence_directory
-  /// keeps the snoop scan. Both produce bit-identical verdicts (debug
-  /// builds DCHECK that per lookup); the knob exists so benches can time
-  /// flat vs pointer and so a miscompile could be diagnosed in production.
-  bool use_flat_tree = true;
 
   /// Throws std::runtime_error on out-of-range values (repeats in 1..1001,
   /// min_confidence in [0, 1], NaN rejected).
@@ -83,7 +74,10 @@ class FalseSharingDetector {
  public:
   explicit FalseSharingDetector(ml::C45Params params = {});
 
-  /// Trains the tree on collected mini-program data.
+  /// Trains the tree on collected mini-program data. A Dataset must carry
+  /// the detector's schema — the 15 feature names of
+  /// pmu::FeatureVector::feature_names() and the class names of
+  /// core::class_names(), in order — or std::runtime_error is thrown.
   void train(const TrainingData& data);
   void train(const ml::Dataset& dataset);
 
@@ -115,12 +109,8 @@ class FalseSharingDetector {
 
   const ml::C45Tree& model() const { return tree_; }
 
-  /// The compiled flat serving form, rebuilt after every train()/load()
-  /// (the pointer tree stays the single persisted source of truth — model
-  /// files never carry the flat form, loaders recompile it). Null only
-  /// before training.
-  const ml::FlatTree* flat() const { return flat_.get(); }
-
+  /// Persistence. Both loaders reject a tree whose schema differs from the
+  /// one train() requires (std::runtime_error).
   void save(std::ostream& os) const;
   static FalseSharingDetector load(std::istream& is);
   void save_file(const std::string& path) const;
@@ -128,7 +118,6 @@ class FalseSharingDetector {
 
  private:
   ml::C45Tree tree_;
-  std::shared_ptr<const ml::FlatTree> flat_;
   bool trained_ = false;
 };
 

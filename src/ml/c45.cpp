@@ -1,7 +1,5 @@
 #include "ml/c45.hpp"
 
-#include "ml/flat_tree.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <istream>
@@ -420,6 +418,8 @@ int C45Tree::predict(std::span<const double> x) const {
 int C45Tree::predict(std::span<const double> x,
                      std::span<double> scratch) const {
   FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
+  FSML_CHECK_MSG(x.size() >= attribute_names_.size(),
+                 "feature vector shorter than the training schema");
   const Node* node = root_.get();
   while (!node->is_leaf) {
     const double v = x[node->attribute];
@@ -442,34 +442,11 @@ int C45Tree::predict(std::span<const double> x,
 
 std::vector<double> C45Tree::distribution(std::span<const double> x) const {
   FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
+  FSML_CHECK_MSG(x.size() >= attribute_names_.size(),
+                 "feature vector shorter than the training schema");
   std::vector<double> dist(root_->class_counts.size(), 0.0);
   accumulate_distribution(*root_, x, 1.0, dist);
   return dist;
-}
-
-void C45Tree::distribution_into(std::span<const double> x,
-                                std::span<double> out) const {
-  FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
-  FSML_CHECK_MSG(out.size() == root_->class_counts.size(),
-                 "distribution buffer must have the trained class arity");
-  std::fill(out.begin(), out.end(), 0.0);
-  accumulate_distribution(*root_, x, 1.0, out);
-}
-
-void C45Tree::classify_many(std::span<const double> xs, std::size_t stride,
-                            std::span<int> out) const {
-  FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
-  FSML_CHECK_MSG(stride >= 1, "classify_many stride must be >= 1");
-  FSML_CHECK_MSG(xs.size() >= stride * out.size(),
-                 "classify_many input block shorter than out.size() rows");
-  std::vector<double> scratch(root_->class_counts.size());
-  for (std::size_t r = 0; r < out.size(); ++r)
-    out[r] = predict(xs.subspan(r * stride, stride), scratch);
-}
-
-std::shared_ptr<const FlatTree> C45Tree::compile() const {
-  if (!root_) return nullptr;
-  return std::make_shared<const FlatTree>(FlatTree::compile(*this));
 }
 
 namespace {
@@ -549,7 +526,21 @@ void save_node(const C45Tree::Node& node, std::ostream& os) {
   save_node(*node.right, os);
 }
 
-std::unique_ptr<C45Tree::Node> load_node(std::istream& is) {
+/// What a loaded tree must fit: predict() reads x[attribute] and the vote
+/// loop counts votes[predicted_class], so a payload naming an attribute or
+/// class outside its own header is rejected here rather than read out of
+/// bounds later, and nesting is capped at the depth training stops at.
+struct TreeShape {
+  std::size_t num_attributes = 0;
+  std::size_t num_classes = 0;
+  int max_depth = 0;
+};
+
+std::unique_ptr<C45Tree::Node> load_node(std::istream& is,
+                                         const TreeShape& shape, int depth) {
+  FSML_CHECK_MSG(depth <= shape.max_depth,
+                 "tree nests deeper than max_depth " +
+                     std::to_string(shape.max_depth));
   std::string kind;
   is >> kind;
   FSML_CHECK_MSG(static_cast<bool>(is), "truncated tree file");
@@ -557,6 +548,13 @@ std::unique_ptr<C45Tree::Node> load_node(std::istream& is) {
   if (kind == "L") {
     std::size_t k = 0;
     is >> node->predicted_class >> k;
+    FSML_CHECK_MSG(static_cast<bool>(is), "malformed leaf record");
+    FSML_CHECK_MSG(k == shape.num_classes,
+                   "leaf count vector does not have one slot per class");
+    FSML_CHECK_MSG(node->predicted_class >= 0 &&
+                       static_cast<std::size_t>(node->predicted_class) <
+                           shape.num_classes,
+                   "leaf class outside the class list");
     node->class_counts.resize(k);
     for (double& c : node->class_counts) is >> c;
     is >> node->training_errors;
@@ -567,8 +565,10 @@ std::unique_ptr<C45Tree::Node> load_node(std::istream& is) {
   node->is_leaf = false;
   is >> node->attribute >> node->threshold;
   FSML_CHECK_MSG(static_cast<bool>(is), "malformed node record");
-  node->left = load_node(is);
-  node->right = load_node(is);
+  FSML_CHECK_MSG(node->attribute < shape.num_attributes,
+                 "split on an attribute outside the attribute list");
+  node->left = load_node(is, shape, depth + 1);
+  node->right = load_node(is, shape, depth + 1);
   // Recompute leaf-derived fields for internal nodes.
   node->class_counts.assign(node->left->class_counts.size(), 0.0);
   for (std::size_t i = 0; i < node->class_counts.size(); ++i)
@@ -596,8 +596,8 @@ std::vector<std::size_t> C45Tree::used_attributes() const {
 void C45Tree::save(std::ostream& os) const {
   FSML_CHECK_MSG(root_ != nullptr, "cannot save an untrained tree");
   // max_digits10 makes the text round trip exact: fractional leaf counts
-  // (missing-value training splits instances fractionally) must reload to
-  // the same bits, or a recompiled FlatTree would drift from the original.
+  // (missing-value training splits instances fractionally) reload to the
+  // same bits, so a reloaded tree predicts bit-identically.
   const std::streamsize old_precision =
       os.precision(std::numeric_limits<double>::max_digits10);
   os << "fsml-c45 v1\n";
@@ -628,7 +628,10 @@ C45Tree C45Tree::load(std::istream& is, C45Params params) {
   tree.attribute_names_.resize(count);
   for (auto& a : tree.attribute_names_) is >> a;
   FSML_CHECK_MSG(static_cast<bool>(is), "malformed model header");
-  tree.root_ = load_node(is);
+  tree.root_ = load_node(is,
+                         TreeShape{tree.attribute_names_.size(),
+                                   tree.class_names_.size(), params.max_depth},
+                         0);
   tree.trained_num_classes_ = tree.class_names_.size();
   return tree;
 }

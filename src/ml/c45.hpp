@@ -49,22 +49,14 @@ class C45Tree final : public Classifier {
   ~C45Tree() override;
 
   void train(const Dataset& data) override;
+  /// predict() and distribution() throw util::CheckFailure before training
+  /// and on a vector shorter than the training schema.
   int predict(std::span<const double> x) const override;
   /// Scratch-buffer predict: identical result, but the fractional NaN
   /// descent accumulates into `scratch` (trained class arity) instead of
   /// allocating per call — the serve vote loop reuses one buffer.
   int predict(std::span<const double> x, std::span<double> scratch) const;
   std::vector<double> distribution(std::span<const double> x) const override;
-  /// Allocation-free distribution into a caller-owned buffer.
-  void distribution_into(std::span<const double> x,
-                         std::span<double> out) const override;
-  /// Loop of scratch-buffer predict(); the compiled FlatTree (flat_tree.hpp)
-  /// is the faster batch kernel when the pointer walk itself is the cost.
-  void classify_many(std::span<const double> xs, std::size_t stride,
-                     std::span<int> out) const override;
-  /// Compiles this tree into its flat SoA serving form (bit-identical
-  /// predictions); nullptr before train()/load().
-  std::shared_ptr<const FlatTree> compile() const override;
   std::string describe() const override;
   std::string name() const override {
     return params_.prune ? "J48 (C4.5)" : "J48 (C4.5, unpruned)";
@@ -85,7 +77,10 @@ class C45Tree final : public Classifier {
 
   /// Serialization: a small line-oriented text format. This is the *raw*
   /// payload; durable model files wrap it in the versioned, checksummed
-  /// container of ml/io.hpp (save_model/load_model).
+  /// container of ml/io.hpp (save_model/load_model). load() rejects a tree
+  /// that could not have been trained on its own header: a split on an
+  /// attribute past the schema, a leaf class or count vector that does not
+  /// fit the class count, or nesting deeper than `params.max_depth`.
   void save(std::ostream& os) const;
   static C45Tree load(std::istream& is, C45Params params = {});
 

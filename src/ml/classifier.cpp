@@ -1,7 +1,5 @@
 #include "ml/classifier.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace fsml::ml {
@@ -11,23 +9,6 @@ std::vector<double> Classifier::distribution(std::span<const double> x) const {
   std::vector<double> dist(trained_num_classes_, 0.0);
   dist[static_cast<std::size_t>(predict(x))] = 1.0;
   return dist;
-}
-
-void Classifier::distribution_into(std::span<const double> x,
-                                   std::span<double> out) const {
-  const std::vector<double> dist = distribution(x);
-  FSML_CHECK_MSG(out.size() == dist.size(),
-                 "distribution buffer must have the trained class arity");
-  std::copy(dist.begin(), dist.end(), out.begin());
-}
-
-void Classifier::classify_many(std::span<const double> xs, std::size_t stride,
-                               std::span<int> out) const {
-  FSML_CHECK_MSG(stride >= 1, "classify_many stride must be >= 1");
-  FSML_CHECK_MSG(xs.size() >= stride * out.size(),
-                 "classify_many input block shorter than out.size() rows");
-  for (std::size_t r = 0; r < out.size(); ++r)
-    out[r] = predict(xs.subspan(r * stride, stride));
 }
 
 }  // namespace fsml::ml

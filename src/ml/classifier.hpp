@@ -10,8 +10,6 @@
 
 namespace fsml::ml {
 
-class FlatTree;
-
 class Classifier {
  public:
   virtual ~Classifier() = default;
@@ -31,25 +29,6 @@ class Classifier {
 
   /// Class membership distribution; default is a one-hot of predict().
   virtual std::vector<double> distribution(std::span<const double> x) const;
-
-  /// Scratch-buffer distribution: writes into `out` (trained class arity)
-  /// instead of allocating. Hot serving paths call this in a loop with one
-  /// reused buffer; the default delegates to distribution() and copies.
-  virtual void distribution_into(std::span<const double> x,
-                                 std::span<double> out) const;
-
-  /// Batch classify: row r of the row-major block `xs` (rows of `stride`
-  /// doubles) yields out[r]. Exactly equivalent to a loop of predict();
-  /// the default is that loop, so every classifier supports batching and
-  /// hot ones (C45Tree via its compiled FlatTree) override it to amortize
-  /// dispatch.
-  virtual void classify_many(std::span<const double> xs, std::size_t stride,
-                             std::span<int> out) const;
-
-  /// Optional compiled flat form for the serving hot path; nullptr when
-  /// the classifier has none (the default). The compiled form is derived —
-  /// never persisted — and predicts bit-identically to this classifier.
-  virtual std::shared_ptr<const FlatTree> compile() const { return nullptr; }
 
   /// Human-readable model dump (tree text, per-class stats, ...).
   virtual std::string describe() const = 0;

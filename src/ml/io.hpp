@@ -16,14 +16,10 @@
 //   crc32 <8-hex CRC of the payload bytes>
 //
 // load_model verifies, in order: magic, version (newer-than-build files are
-// rejected, not guessed at), payload framing, CRC, and that the embedded
-// schema hash matches the payload's actual attribute/class names. A loaded
-// tree predicts bit-identically to the tree that was saved.
-//
-// Model files persist only the pointer tree. The compiled serving form
-// (ml::FlatTree) is never written to disk — every loader recompiles it from
-// the loaded tree, so the persisted payload stays the single source of
-// truth and a format bump is never needed for flat-layout changes.
+// rejected, not guessed at), payload framing, CRC, the tree's structure
+// against its own header (C45Tree::load), and that the embedded schema hash
+// matches the payload's actual attribute/class names. A loaded tree
+// predicts bit-identically to the tree that was saved.
 #pragma once
 
 #include <cstdint>

@@ -361,8 +361,7 @@ std::string DrillReport::summary() const {
 }
 
 void DrillReport::write_json(std::ostream& os, const std::string& name,
-                             const DrillConfig& config,
-                             const std::string& extra) const {
+                             const DrillConfig& config) const {
   char hex[16];
   std::snprintf(hex, sizeof(hex), "%08x", fingerprint);
   os << "    {\n";
@@ -388,14 +387,11 @@ void DrillReport::write_json(std::ostream& os, const std::string& name,
   os << "      \"classify_faults\": " << health.classify_faults << ",\n";
   os << "      \"breaker_trips\": " << health.breaker_trips << ",\n";
   os << "      \"fingerprint\": \"" << hex << "\",\n";
-  os << "      \"use_flat_tree\": "
-     << (health.use_flat_tree ? "true" : "false") << ",\n";
   os << "      \"classify_calls\": " << health.classify_calls << ",\n";
   os << "      \"classify_p50_us\": " << health.classify_p50_us << ",\n";
   os << "      \"classify_p99_us\": " << health.classify_p99_us << ",\n";
   os << "      \"wall_seconds\": " << wall_seconds << ",\n";
   os << "      \"sessions_per_second\": " << sessions_per_second;
-  if (!extra.empty()) os << ",\n      " << extra;
   os << "\n    }";
 }
 

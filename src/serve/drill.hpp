@@ -31,6 +31,11 @@
 
 namespace fsml::serve {
 
+/// Schema tag of the JSON document that wraps DrillReport::write_json
+/// objects (bench/serve_drill's BENCH_serve.json, `fsml_analyze serve
+/// --out`).
+inline constexpr const char* kBenchServeSchema = "fsml-bench-serve-v3";
+
 struct DrillConfig {
   /// Client population.
   std::size_t sessions = 48;
@@ -101,13 +106,10 @@ struct DrillReport {
 
   std::string summary() const;
 
-  /// One JSON object (no schema header — the bench wraps scenarios into a
-  /// "fsml-bench-serve-v2" document). `extra` is raw JSON members (no
-  /// braces, no trailing comma) spliced in before the closing brace — the
-  /// bench uses it for classify-throughput rows.
+  /// One JSON object (no schema header — callers wrap scenarios into a
+  /// kBenchServeSchema document).
   void write_json(std::ostream& os, const std::string& name,
-                  const DrillConfig& config,
-                  const std::string& extra = std::string()) const;
+                  const DrillConfig& config) const;
 };
 
 /// Simulates the ground-truth template runs a drill samples payloads from.

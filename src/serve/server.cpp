@@ -91,9 +91,8 @@ std::string HealthSnapshot::to_string() const {
   s += std::string(" breaker=") + (breaker_open ? "open" : "closed");
   char classify[96];
   std::snprintf(classify, sizeof classify,
-                " classify=%s/p50=%.1fus/p99=%.1fus/calls=%llu",
-                use_flat_tree ? "flat" : "pointer", classify_p50_us,
-                classify_p99_us,
+                " classify-p50=%.1fus classify-p99=%.1fus classify-calls=%llu",
+                classify_p50_us, classify_p99_us,
                 static_cast<unsigned long long>(classify_calls));
   s += classify;
   return s;
@@ -467,7 +466,6 @@ HealthSnapshot Server::snapshot() const {
   out.queue_capacity = ring_.capacity();
   out.breaker_trips = breaker_.trips();
   out.breaker_open = breaker_.open();
-  out.use_flat_tree = config_.robust.use_flat_tree;
   out.classify_calls = classify_ns_.size();
   if (!classify_ns_.empty()) {
     std::vector<std::uint64_t> sorted = classify_ns_;

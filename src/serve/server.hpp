@@ -153,14 +153,11 @@ struct HealthSnapshot {
   bool breaker_open = false;
 
   /// Where classify time goes: wall-clock percentiles over every
-  /// supervised classify_session call (µs), and which engine ran them —
-  /// the compiled ml::FlatTree batch kernel or the pointer-tree reference
-  /// (ServeConfig::robust.use_flat_tree). Wall times never influence
+  /// supervised classify_session call (µs). Wall times never influence
   /// verdicts, so they do not break the bit-identity contract.
   std::uint64_t classify_calls = 0;
   double classify_p50_us = 0.0;
   double classify_p99_us = 0.0;
-  bool use_flat_tree = true;
 
   std::uint64_t terminal_records() const {
     return verdicts_good + verdicts_bad_fs + verdicts_bad_ma + abstained +

@@ -311,6 +311,35 @@ TEST(Detector, SaveLoadRoundTrip) {
   }
 }
 
+TEST(Detector, TrainAndLoadRejectAForeignSchema) {
+  // Right arity, other names: a renamed feature or a renamed class is a
+  // different detector, refused by train() and load() as by load_file().
+  std::vector<std::string> features = pmu::FeatureVector::feature_names();
+  features[0] = "renamed";
+  std::vector<std::string> classes = core::class_names();
+  classes[2] = "other";
+  for (const auto& [attributes, labels] :
+       {std::pair{features, core::class_names()},
+        std::pair{pmu::FeatureVector::feature_names(), classes}}) {
+    ml::Dataset foreign(attributes, labels);
+    for (int rep = 0; rep < 4; ++rep)
+      for (int y = 0; y < 3; ++y) {
+        std::vector<double> x(pmu::kNumFeatures, 0.25 * rep);
+        x[0] = static_cast<double>(y);
+        foreign.add(std::move(x), y);
+      }
+    core::FalseSharingDetector detector;
+    EXPECT_THROW(detector.train(foreign), std::runtime_error);
+    EXPECT_FALSE(detector.trained());
+
+    ml::C45Tree tree;
+    tree.train(foreign);
+    std::stringstream ss;
+    tree.save(ss);
+    EXPECT_THROW(core::FalseSharingDetector::load(ss), std::runtime_error);
+  }
+}
+
 TEST(Detector, RootSplitsOnHitm) {
   core::FalseSharingDetector detector;
   detector.train(reduced_data());

@@ -442,9 +442,6 @@ int cmd_serve(const util::Cli& cli) {
       cli.get_int_in("idle-timeout", 24, 0, 1000000000));
   config.service_rate = static_cast<std::size_t>(
       cli.get_int_in("service-rate", 4, 1, 100000));
-  // --flat=0 runs the vote loop on the pointer-tree reference instead of
-  // the compiled flat kernel; verdicts are bit-identical either way.
-  config.server.robust.use_flat_tree = cli.get_bool("flat", true);
   config.malformed_rate = cli.get_double_in("malformed", 0.0, 0.0, 1.0);
   config.cancel_rate = cli.get_double_in("cancel", 0.0, 0.0, 1.0);
   config.faults.stall_rate = cli.get_double_in("stall-rate", 0.0, 0.0, 1.0);
@@ -491,7 +488,8 @@ int cmd_serve(const util::Cli& cli) {
   const std::string out = cli.get("out", "");
   if (!out.empty()) {
     util::AtomicFile artifact(out);  // never leaves a torn JSON behind
-    artifact.stream() << "{\n  \"schema\": \"fsml-bench-serve-v2\",\n"
+    artifact.stream() << "{\n  \"schema\": \"" << serve::kBenchServeSchema
+                      << "\",\n"
                       << "  \"seed\": " << config.seed << ",\n"
                       << "  \"sessions\": " << config.sessions << ",\n"
                       << "  \"scenarios\": [\n";
