@@ -2,31 +2,28 @@
 // path finally gets data.
 //
 // Runs the standard multi-threaded mini-program sweep (good + bad-fs +,
-// where supported, bad-ma) at the requested simulated core counts, once
-// with the O(1) coherence directory (the default) and once with the
-// reference linear-peer-scan protocol, and reports simulated
-// accesses/second and wall time for both plus the speedup. Both
-// configurations execute the exact same simulation — identical counters,
-// cycles and access totals (asserted here and enforced by the bit-identity
-// tests) — so the ratio isolates the cost of owner/sharer discovery, which
-// is precisely what grows with core count.
+// where supported, bad-ma) at the requested simulated core counts and
+// reports simulated accesses, best-of-reps wall time and accesses/second
+// per core count. Coherence lookups go through the O(1) directory
+// (sim/directory.hpp), the simulator's only lookup path, so the rows show
+// how host cost grows with the peers a miss can involve.
 //
 // Core counts up to 64 run on a single socket; 65..128 run as a 2-socket
 // and 129..256 as a 4-socket NUMA machine (the hierarchical sharer mask's
 // 128/256-core scenario family the paper's hardware could never express).
 //
-// Results are written to BENCH_sim.json (schema fsml-bench-sim-v4): a host
+// Results are written to BENCH_sim.json (schema fsml-bench-sim-v5): a host
 // block (CPUs, build type — the same binary's numbers vary about 3x between
 // hosts) and one row per core count carrying its socket count. CI runs this
-// binary on every push and uploads the artifact, so regressions show up as
-// a trend break rather than an anecdote.
+// binary on every push, checks each row's access total against the
+// committed BENCH_sim.json and uploads the artifact, so regressions show up
+// as a trend break rather than an anecdote.
 //
 // Options (beyond bench_common.hpp's standard ones):
 //   --cores=1,8,16,32,128,256  simulated core counts to sweep (1..256;
 //                          multi-socket counts must divide evenly)
-//   --reps=2            timed repetitions per configuration (best is kept)
+//   --reps=2            timed repetitions per core count (best is kept)
 //   --out=BENCH_sim.json  JSON artifact path (empty string disables)
-//   --no-reference      skip the linear-scan baseline (faster CI tracking)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -72,11 +69,9 @@ sim::MachineConfig sweep_machine(std::uint32_t cores) {
 /// One full mini-program sweep at `cores` simulated cores. The sweep is the
 /// collection workload in miniature: every multi-threaded trainer in every
 /// mode it supports, smallest default problem size.
-SweepResult run_sweep(std::uint32_t cores, bool use_directory, int reps,
-                      std::uint64_t seed) {
+SweepResult run_sweep(std::uint32_t cores, int reps, std::uint64_t seed) {
   sim::MachineConfig machine = sweep_machine(cores);
   machine.num_cores = cores;
-  machine.use_coherence_directory = use_directory;
 
   SweepResult best;
   for (int rep = 0; rep < reps; ++rep) {
@@ -124,28 +119,13 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 42));
   const std::string out = cli.get("out", "BENCH_sim.json");
-  const bool reference = !cli.has("no-reference");
   const unsigned host_cpus = std::max(1u, std::thread::hardware_concurrency());
 
-  // Satellite regression guard: the 1-core directory row of
-  // fsml-bench-sim-v2 showed the probe overhead losing to scanning the only
-  // other L2 (0.946x); the auto-select policy must pick the scan at <= 2
-  // cores and the directory above.
-  FSML_CHECK_MSG(!sweep_machine(1).directory_enabled() &&
-                     !sim::MachineConfig::tiny(2).directory_enabled() &&
-                     sim::MachineConfig::tiny(3).directory_enabled(),
-                 "coherence-protocol auto-select policy regressed");
-
-  util::Table table(
-      reference
-          ? std::vector<std::string>{"cores", "sim accesses", "directory",
-                                     "acc/s", "peer scan", "acc/s", "speedup"}
-          : std::vector<std::string>{"cores", "sim accesses", "directory",
-                                     "acc/s"});
+  util::Table table({"cores", "sim accesses", "wall", "acc/s"});
   for (std::size_t col = 1; col < table.num_columns(); ++col)
     table.set_align(col, util::Align::kRight);
 
-  std::string json = "{\n  \"schema\": \"fsml-bench-sim-v4\",\n"
+  std::string json = "{\n  \"schema\": \"fsml-bench-sim-v5\",\n"
                      "  \"host\": {\"cpus\": " +
                      std::to_string(host_cpus) + ", \"build_type\": \"" +
                      FSML_BUILD_TYPE + "\"},\n  \"reps\": " +
@@ -156,47 +136,19 @@ int main(int argc, char** argv) {
                    "--cores entries must be in 1..256");
     const auto cores = static_cast<std::uint32_t>(cores64);
     const std::uint32_t sockets = sweep_machine(cores).topology.sockets;
-    const SweepResult dir =
-        run_sweep(cores, /*use_directory=*/true, reps, seed);
-    std::vector<std::string> row{std::to_string(cores),
-                                 std::to_string(dir.accesses),
-                                 util::auto_time(dir.seconds),
-                                 std::to_string(static_cast<std::uint64_t>(
-                                     dir.accesses / dir.seconds))};
-    char entry[512];
-    if (reference) {
-      const SweepResult scan =
-          run_sweep(cores, /*use_directory=*/false, reps, seed);
-      FSML_CHECK_MSG(scan.accesses == dir.accesses,
-                     "directory and scan must simulate identical sweeps");
-      char speedup[32];
-      std::snprintf(speedup, sizeof speedup, "%.2fx",
-                    scan.seconds / dir.seconds);
-      row.push_back(util::auto_time(scan.seconds));
-      row.push_back(std::to_string(
-          static_cast<std::uint64_t>(scan.accesses / scan.seconds)));
-      row.push_back(speedup);
-      std::snprintf(entry, sizeof entry,
-                    "\n    {\"cores\": %u, \"sockets\": %u, "
-                    "\"accesses\": %llu, "
-                    "\"directory_seconds\": %.6f, \"scan_seconds\": %.6f, "
-                    "\"directory_accesses_per_sec\": %.0f, "
-                    "\"scan_accesses_per_sec\": %.0f, \"speedup\": %.3f}",
-                    cores, sockets,
-                    static_cast<unsigned long long>(dir.accesses),
-                    dir.seconds, scan.seconds, dir.accesses / dir.seconds,
-                    scan.accesses / scan.seconds, scan.seconds / dir.seconds);
-    } else {
-      std::snprintf(entry, sizeof entry,
-                    "\n    {\"cores\": %u, \"sockets\": %u, "
-                    "\"accesses\": %llu, "
-                    "\"directory_seconds\": %.6f, "
-                    "\"directory_accesses_per_sec\": %.0f}",
-                    cores, sockets,
-                    static_cast<unsigned long long>(dir.accesses),
-                    dir.seconds, dir.accesses / dir.seconds);
-    }
-    table.add_row(row);
+    const SweepResult r = run_sweep(cores, reps, seed);
+    const double per_sec = r.accesses / r.seconds;
+    table.add_row({std::to_string(cores), std::to_string(r.accesses),
+                   util::auto_time(r.seconds),
+                   std::to_string(static_cast<std::uint64_t>(per_sec))});
+    char entry[256];
+    std::snprintf(entry, sizeof entry,
+                  "\n    {\"cores\": %u, \"sockets\": %u, "
+                  "\"accesses\": %llu, \"seconds\": %.6f, "
+                  "\"accesses_per_sec\": %.0f}",
+                  cores, sockets,
+                  static_cast<unsigned long long>(r.accesses), r.seconds,
+                  per_sec);
     json += (first ? "" : ",");
     json += entry;
     first = false;

@@ -19,6 +19,10 @@ namespace {
 
 using trainers::Mode;
 
+/// Virtual-time slice for the evaluation runs: slicing gives the multiplex
+/// emulation real phase structure to lose.
+constexpr sim::Cycles kSliceCycles = 25000;
+
 void config_error(const std::string& what) {
   throw std::runtime_error("RobustnessConfig: " + what);
 }
@@ -45,13 +49,6 @@ std::uint64_t eval_seed(std::uint64_t base, const EvalJob& job) {
   mix(job.threads);
   mix(job.size);
   return util::SplitMix64(h).next();
-}
-
-/// Independent noise-model seed per grid point.
-std::uint64_t point_seed(std::uint64_t base, std::size_t point_index) {
-  util::SplitMix64 a(base);
-  util::SplitMix64 b(0xd1b54a32d192ed03ULL * (point_index + 1));
-  return a.next() ^ b.next();
 }
 
 std::vector<EvalJob> enumerate_eval_jobs(const RobustnessConfig& config) {
@@ -91,8 +88,7 @@ EvalRun run_eval_job(const EvalJob& job, const RobustnessConfig& config) {
   sim::MachineConfig machine_config = config.machine;
   machine_config.num_cores = params.threads;
   exec::Machine machine(machine_config, params.seed);
-  // Slicing gives the multiplex emulation real phase structure to lose.
-  if (config.slice_cycles > 0) machine.enable_slicing(config.slice_cycles);
+  machine.enable_slicing(kSliceCycles);
   job.program->build(machine, params);
 
   EvalRun run;
@@ -138,6 +134,12 @@ void json_point(std::ostream& os, const RobustnessPoint& p) {
 }
 
 }  // namespace
+
+std::uint64_t point_seed(std::uint64_t base, std::size_t point_index) {
+  util::SplitMix64 a(base);
+  util::SplitMix64 b(0xd1b54a32d192ed03ULL * (point_index + 1));
+  return a.next() ^ b.next();
+}
 
 void RobustnessConfig::validate() const {
   if (jitters.empty() || counter_groups.empty() || drops.empty())

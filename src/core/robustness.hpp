@@ -46,10 +46,6 @@ struct RobustnessConfig {
   std::uint64_t seed = 42;
   std::size_t jobs = 0;  ///< host threads; 0 = hardware concurrency
 
-  /// Virtual-time slice for the evaluation runs (gives multiplexing its
-  /// coverage error); 0 disables slicing.
-  sim::Cycles slice_cycles = 25000;
-
   /// Smaller evaluation set (3 programs, one thread count) for tests/CI.
   bool reduced = false;
 
@@ -72,11 +68,17 @@ struct EvalRun {
   LocalityFeatures locality;
 };
 
-/// Simulates the evaluation set once (with time-slicing per
-/// `config.slice_cycles`) on the fsml::par pool. Run seeds derive from job
-/// coordinates, so the set is bit-identical for any `config.jobs` value.
+/// Simulates the evaluation set once, time-sliced every 25 000 virtual
+/// cycles, on the fsml::par pool. Run seeds derive from job coordinates,
+/// so the set is bit-identical for any `config.jobs` value.
 std::vector<EvalRun> simulate_evaluation_runs(const RobustnessConfig& config,
                                               std::ostream* log = nullptr);
+
+/// Noise-model seed of sweep cell `point_index` (grid order: jitter,
+/// counters, drop). evaluate_robustness and the triage harness both seed
+/// their cells with it, so a triage sweep's stage-1 numbers line up
+/// cell-for-cell with a robustness sweep run at the same seed.
+std::uint64_t point_seed(std::uint64_t base, std::size_t point_index);
 
 /// Scores of one sweep cell (or of the clean baseline).
 struct RobustnessPoint {

@@ -12,7 +12,6 @@
 #include "par/thread_pool.hpp"
 #include "pmu/noise.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 #include "util/time_format.hpp"
 
 namespace fsml::core {
@@ -23,15 +22,6 @@ using trainers::Mode;
 
 void weights_error(const std::string& what) {
   throw std::runtime_error("TriageWeights: " + what);
-}
-
-/// Same per-cell seed recipe as robustness.cpp, so a triage sweep's stage-1
-/// numbers line up cell-for-cell with an evaluate_robustness sweep run at
-/// the same seed.
-std::uint64_t point_seed(std::uint64_t base, std::size_t point_index) {
-  util::SplitMix64 a(base);
-  util::SplitMix64 b(0xd1b54a32d192ed03ULL * (point_index + 1));
-  return a.next() ^ b.next();
 }
 
 /// The run's clean features over the extended schema.

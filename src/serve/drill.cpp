@@ -20,6 +20,11 @@ namespace {
 
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
+/// Client patience: retry-afters a client takes on open / on one submit
+/// before it gives up.
+constexpr std::size_t kOpenRetries = 3;
+constexpr std::size_t kSubmitRetries = 8;
+
 double u01(util::SplitMix64& mix) {
   return static_cast<double>(mix.next() >> 11) * 0x1.0p-53;
 }
@@ -111,9 +116,6 @@ void DrillConfig::validate() const {
       !(cancel_rate >= 0.0) || cancel_rate > 1.0)
     throw std::runtime_error(
         "DrillConfig: malformed_rate and cancel_rate must be in [0, 1]");
-  if (open_retries > 1000 || submit_retries > 1000)
-    throw std::runtime_error(
-        "DrillConfig: open_retries and submit_retries must be <= 1000");
   server.validate();
   noise.validate();
 }
@@ -220,7 +222,7 @@ DrillReport run_drill(const core::FalseSharingDetector& detector,
               schedule[step + client_gap(id, 0)].push_back(
                   {id, Kind::kSubmit, 0});
             } else if (r.admission == Admission::kRetryAfter &&
-                       client.open_tries < config.open_retries) {
+                       client.open_tries < kOpenRetries) {
               ++client.open_tries;
               schedule[step + std::max<std::uint64_t>(
                                   1, r.retry_after_steps)]
@@ -242,7 +244,7 @@ DrillReport run_drill(const core::FalseSharingDetector& detector,
               else
                 schedule[step + 1].push_back({id, Kind::kClose, 0});
             } else if (r.status == Submit::kRetryAfter &&
-                       client.submit_tries < config.submit_retries) {
+                       client.submit_tries < kSubmitRetries) {
               ++client.submit_tries;
               schedule[step + std::max<std::uint64_t>(
                                   1, r.retry_after_steps)]

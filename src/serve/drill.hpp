@@ -54,9 +54,6 @@ struct DrillConfig {
   /// `cancel_step` virtual steps after the session's arrival.
   double cancel_rate = 0.0;
   std::uint64_t cancel_step = 4;
-  /// Client patience: give-up thresholds for retry-after on open/submit.
-  std::size_t open_retries = 3;
-  std::size_t submit_retries = 8;
 
   std::uint64_t seed = 42;
   std::size_t jobs = 0;  ///< host threads; 0 = hardware concurrency

@@ -12,6 +12,11 @@ namespace fsml::serve {
 
 namespace {
 
+/// Classification attempts per session (par::Supervisor retries), with no
+/// wall-clock watchdog on an attempt.
+constexpr int kClassifyAttempts = 2;
+constexpr std::chrono::milliseconds kClassifyDeadline{0};
+
 core::RobustVerdict unknown_verdict(std::size_t repeats) {
   core::RobustVerdict v;
   v.known = false;
@@ -53,12 +58,6 @@ void ServeConfig::validate() const {
       abstain_watermark < shed_watermark)
     throw std::runtime_error(
         "ServeConfig: need 0 < shed_watermark <= abstain_watermark <= 1");
-  if (classify_attempts < 1 || classify_attempts > 10)
-    throw std::runtime_error(
-        "ServeConfig: classify_attempts must be 1..10, got " +
-        std::to_string(classify_attempts));
-  if (classify_deadline.count() < 0)
-    throw std::runtime_error("ServeConfig: classify_deadline must be >= 0");
   robust.validate();
   breaker.validate();
 }
@@ -114,8 +113,8 @@ Server::Server(const core::FalseSharingDetector& detector,
   FSML_CHECK_MSG(detector_.trained(),
                  "serve::Server needs a trained detector");
   par::SupervisorConfig super;
-  super.max_attempts = config_.classify_attempts;
-  super.deadline = config_.classify_deadline;
+  super.max_attempts = kClassifyAttempts;
+  super.deadline = kClassifyDeadline;
   super.backoff_base = std::chrono::milliseconds(0);
   super.backoff_cap = std::chrono::milliseconds(0);
   super.backoff_seed = config_.seed;

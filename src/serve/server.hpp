@@ -75,10 +75,6 @@ struct ServeConfig {
   /// Queue occupancy fractions entering shedding / abstain-only.
   double shed_watermark = 0.75;
   double abstain_watermark = 0.95;
-  /// Classification attempts per session (par::Supervisor retries).
-  int classify_attempts = 2;
-  /// Optional wall-clock watchdog per classify attempt (0 = off).
-  std::chrono::milliseconds classify_deadline{0};
   /// Vote policy across a session's usable batches.
   core::RobustConfig robust;
   BreakerConfig breaker;

@@ -1,12 +1,13 @@
 // Coherence directory: O(1) per-line owner/sharer lookup for the memory
 // hierarchy.
 //
-// The linear-scan protocol in MemorySystem::service_request (and the
-// prefetcher's owned/shared-elsewhere probe) walks every peer core's L2 on
-// every miss, so a 32-core sweep pays O(cores) tag probes per coherence
-// event. Real Westmere parts avoid exactly this with the inclusive L3's
-// snoop filter; this directory is the simulator's equivalent: one record
-// per line resident in *any* private L2, holding
+// Every coherence event — a miss in MemorySystem::service_request, an S->M
+// upgrade, the prefetcher's owned/shared-elsewhere probe — asks which peers
+// hold a line. Walking every peer core's L2 to answer costs O(cores) tag
+// probes per event; real Westmere parts avoid exactly this with the
+// inclusive L3's snoop filter. This directory is the simulator's
+// equivalent and its only answer to that question: one record per line
+// resident in *any* private L2, holding
 //
 //   * `sharers` — a hierarchical bitmask of every core whose L2 holds the
 //     line in any valid MESI state (one 64-bit word per socket), and
@@ -17,10 +18,9 @@
 // line transition (fill, upgrade, downgrade, invalidate, eviction,
 // writeback restate) flows through Cache's line-event hook into
 // on_line_event(). It is a pure index — it never decides protocol actions,
-// it only answers "who holds this line?" in O(1) — so enabling it cannot
-// change a single counter or cycle (MemorySystem cross-validates it
-// against a full peer scan in debug builds, and the fuzz tests compare it
-// to a reference scan after every access).
+// it only answers "who holds this line?" in O(1). Debug builds of
+// MemorySystem cross-check every lookup against a full peer scan, and the
+// fuzz tests compare the whole directory to a scan after every access.
 //
 // Storage is an open-addressing hash table kept below a 1/2 load factor so
 // probes stay short. It starts small (a machine is constructed per trainer

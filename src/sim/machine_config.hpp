@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "sim/cycle_model.hpp"
@@ -35,26 +34,6 @@ struct MachineConfig {
   CycleModel cycles{};
 
   double core_hz = 3.4e9;  ///< for cycles -> seconds conversion only
-
-  /// Resolve coherence lookups (owner/sharer discovery on every miss,
-  /// upgrade and prefetch probe) through the O(1) coherence directory
-  /// (sim/directory.hpp) instead of linearly scanning every peer core's
-  /// L2. Both paths are bit-identical — same counters, same cycles, same
-  /// training bytes (a regression test enforces it); the scan survives
-  /// purely as the cross-validation reference and perf baseline.
-  ///
-  /// Unset (the default) auto-selects: the directory pays off once peer
-  /// scans visit more than a couple of cores, but on 1-2 core machines its
-  /// hash maintenance costs more than the scan it replaces (the 1-core
-  /// BENCH_sim regression), so small machines keep the legacy scan unless
-  /// a value is explicitly forced.
-  std::optional<bool> use_coherence_directory;
-
-  /// The resolved protocol choice: the forced value, or the core-count
-  /// auto-selection rule.
-  bool directory_enabled() const {
-    return use_coherence_directory.value_or(num_cores > 2);
-  }
 
   void validate() const;
 

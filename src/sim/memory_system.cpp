@@ -285,9 +285,9 @@ AccessResult MemorySystem::access_line(CoreId core, Addr line,
       count(core, RawEvent::kRfoUpgrades, 1);
       count(core, RawEvent::kTransSM, 1);
       bool remote_sharer = false;
-      // Every holder except ourselves gets invalidated, in core order (the
-      // same order the peer scan visited them). Snapshot the mask first:
-      // snoop_peer mutates the directory entry as peers drop the line.
+      // Every holder except ourselves gets invalidated, in ascending core
+      // order. Snapshot the mask first: snoop_peer mutates the directory
+      // entry as peers drop the line.
       SharerMask peers = line_holders(line).sharers;
       sharer_index_.clear(peers, core);
       sharer_index_.for_each(peers, [&](CoreId peer) {
@@ -378,7 +378,7 @@ void MemorySystem::maybe_stream_prefetch(CoreId core, Addr line, Cycles now,
     if (node.l2.contains(target)) continue;
     // Never disturb a line another core owns (M/E) — the prefetcher queues
     // behind the coherence protocol on real parts too. One directory
-    // lookup answers both probes the peer scan used to make.
+    // lookup answers both probes: owned elsewhere and shared elsewhere.
     const LineHolders holders = line_holders(target);
     const bool owned_elsewhere =
         holders.owner != CoherenceDirectory::kNoOwner && holders.owner != core;
@@ -465,8 +465,8 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
   const std::uint32_t my_socket = socket_of(core);
 
   // The (unique) M/E owner and the S sharers across every socket, from one
-  // O(1) directory lookup (or the reference peer scan). The requester holds
-  // nothing here, so its bit cannot be set.
+  // O(1) directory lookup. The requester holds nothing here, so its bit
+  // cannot be set.
   const LineHolders holders = line_holders(line);
   const CoreId owner = holders.owner;
   const MesiState owner_state = holders.owner_state;
@@ -578,6 +578,7 @@ MemorySystem::LineResult MemorySystem::service_request(CoreId core, Addr line,
           qpi_extra(home_socket)};
 }
 
+#ifndef NDEBUG
 MemorySystem::LineHolders MemorySystem::scan_line_holders(Addr line) const {
   LineHolders h;
   for (CoreId peer = 0; peer < nodes_.size(); ++peer) {
@@ -592,9 +593,9 @@ MemorySystem::LineHolders MemorySystem::scan_line_holders(Addr line) const {
   }
   return h;
 }
+#endif
 
 MemorySystem::LineHolders MemorySystem::line_holders(Addr line) const {
-  if (!config_.directory_enabled()) return scan_line_holders(line);
   LineHolders h;
   if (const CoherenceDirectory::Entry* e = dir_.lookup(line)) {
     h.owner = e->owner;

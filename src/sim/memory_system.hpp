@@ -107,7 +107,7 @@ class MemorySystem {
   /// full linear scan of every core's L2, line for line. Always true — the
   /// directory is maintained through the caches' line-event hooks — but
   /// the fuzz tests re-prove it after every access, and debug builds
-  /// FSML_DCHECK it on every directory-served miss.
+  /// cross-check every lookup against the scan (line_holders()).
   bool check_directory_invariant() const;
 
  private:
@@ -163,19 +163,20 @@ class MemorySystem {
 
   /// Who holds `line` in their L2 right now: the unique M/E owner (if any)
   /// plus a bitmask of every valid holder. This is the one question the
-  /// coherence protocol asks about peers; the directory answers it in O(1),
-  /// the scan in O(cores).
+  /// coherence protocol asks about peers; the directory answers it in O(1).
   struct LineHolders {
     CoreId owner = CoherenceDirectory::kNoOwner;
     MesiState owner_state = MesiState::kInvalid;
     SharerMask sharers;  ///< all valid holders, including the owner
   };
 
-  /// Reference implementation: full linear scan over every core's L2.
+#ifndef NDEBUG
+  /// Debug-only reference: full linear scan over every core's L2.
   LineHolders scan_line_holders(Addr line) const;
+#endif
 
-  /// Directory-served lookup (config.directory_enabled()) or the
-  /// reference scan; debug builds cross-validate the two on every call.
+  /// Directory-served lookup; debug builds cross-check every answer
+  /// against scan_line_holders().
   LineHolders line_holders(Addr line) const;
 
   /// Cycles of queueing delay at `line`'s home-socket DRAM channel for an

@@ -48,8 +48,7 @@ class Pmatmult final : public MiniProgram {
       const std::uint64_t block = (r1 - r0) * n;
       const Traversal walk(mode == Mode::kBadMa ? p.pattern
                                                 : AccessPattern::kLinear,
-                           std::max<std::uint64_t>(block, 1), p.stride,
-                           p.seed + t);
+                           std::max<std::uint64_t>(block, 1), p.seed + t);
       m.spawn([=](exec::ThreadCtx& ctx) -> exec::SimTask {
         ctx.compute(ctx.rng().next_below(32));
         if (mode == Mode::kBadFs) {
@@ -119,8 +118,7 @@ class Pmatcompare final : public MiniProgram {
       // bad-ma scatters the comparison order across the whole block.
       const Traversal walk(p.mode == Mode::kBadMa ? p.pattern
                                                   : AccessPattern::kLinear,
-                           std::max<std::uint64_t>(block, 1), p.stride,
-                           p.seed + t);
+                           std::max<std::uint64_t>(block, 1), p.seed + t);
       // Progress updates get sparser as the matrix grows (n/8 comparisons
       // apart) — together with `count` this spans the bad-fs write-density
       // spectrum the classifier must learn.

@@ -122,7 +122,7 @@ std::vector<sim::Addr> make_slots(exec::VirtualArena& arena, std::uint32_t n,
 }
 
 Traversal::Traversal(AccessPattern pattern, std::uint64_t n,
-                     std::uint64_t stride, std::uint64_t seed)
+                     std::uint64_t seed)
     : n_(n) {
   FSML_CHECK(n >= 1);
   switch (pattern) {
@@ -131,7 +131,7 @@ Traversal::Traversal(AccessPattern pattern, std::uint64_t n,
       offset_ = 0;
       break;
     case AccessPattern::kStrided:
-      step_ = std::max<std::uint64_t>(stride, 2);
+      step_ = kStride;
       offset_ = 0;
       break;
     case AccessPattern::kRandom: {

@@ -24,7 +24,7 @@ class SeqArrayProgram : public MiniProgram {
     const sim::Addr v = m.arena().alloc_page_aligned(n * kElem);
     const bool bad_ma = p.mode == Mode::kBadMa;
     const Traversal walk(bad_ma ? p.pattern : AccessPattern::kLinear, n,
-                         p.stride, p.seed);
+                         p.seed);
     const auto body = kernel_body();
     m.spawn([v, walk, n, body](exec::ThreadCtx& ctx) -> exec::SimTask {
       for (int pass = 0; pass < kPasses; ++pass) {
@@ -113,7 +113,7 @@ class SeqMatmul final : public MiniProgram {
     const sim::Addr c = m.arena().alloc_page_aligned(n * n * kElem);
     const bool bad_ma = p.mode == Mode::kBadMa;
     const Traversal walk(bad_ma ? p.pattern : AccessPattern::kLinear, n * n,
-                         p.stride, p.seed);
+                         p.seed);
     m.spawn([=](exec::ThreadCtx& ctx) -> exec::SimTask {
       for (std::uint64_t step = 0; step < n * n; ++step) {
         const std::uint64_t flat = walk.index(step);

@@ -51,7 +51,6 @@ struct TrainerParams {
   std::uint32_t threads = 4;      ///< 1 for the sequential suite
   std::uint64_t size = 0;         ///< program-specific; 0 = program default
   AccessPattern pattern = AccessPattern::kStrided;  ///< used in bad-ma mode
-  std::uint64_t stride = 16;      ///< elements, for kStrided
   std::uint64_t seed = 1;
   /// Thread-to-socket pinning on multi-socket machines: packed fills socket
   /// 0 first (default, matches single-socket behavior), scatter round-robins
@@ -111,17 +110,18 @@ std::vector<sim::Addr> make_slots(exec::VirtualArena& arena, std::uint32_t n,
 /// Bijective traversal of [0, n): maps iteration -> element index for the
 /// requested pattern without materializing a permutation. kRandom uses a
 /// multiplicative bijection (a large odd multiplier coprime to n), kStrided
-/// a stride adjusted to be coprime to n; both visit every index exactly
-/// once per pass.
+/// a kStride-element stride adjusted to be coprime to n; both visit every
+/// index exactly once per pass.
 class Traversal {
  public:
-  Traversal(AccessPattern pattern, std::uint64_t n, std::uint64_t stride,
-            std::uint64_t seed);
+  Traversal(AccessPattern pattern, std::uint64_t n, std::uint64_t seed);
 
   std::uint64_t size() const { return n_; }
   std::uint64_t index(std::uint64_t i) const;
 
  private:
+  static constexpr std::uint64_t kStride = 16;  ///< elements, for kStrided
+
   std::uint64_t n_;
   std::uint64_t step_;
   std::uint64_t offset_;

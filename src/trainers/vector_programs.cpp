@@ -48,7 +48,7 @@ class Psumv final : public MiniProgram {
       const sim::Addr slot = slots[t];
       const bool bad_ma = p.mode == Mode::kBadMa;
       const Traversal walk(bad_ma ? p.pattern : AccessPattern::kLinear,
-                           s.count, p.stride, p.seed + t);
+                           s.count, p.seed + t);
       m.spawn([v, slot, s, walk](exec::ThreadCtx& ctx) -> exec::SimTask {
         ctx.compute(ctx.rng().next_below(32));
         for (std::uint64_t i = 0; i < s.count; ++i) {
@@ -91,7 +91,7 @@ class Pdot final : public MiniProgram {
       const bool fs = p.mode == Mode::kBadFs;
       const bool bad_ma = p.mode == Mode::kBadMa;
       const Traversal walk(bad_ma ? p.pattern : AccessPattern::kLinear,
-                           s.count, p.stride, p.seed + t);
+                           s.count, p.seed + t);
       m.spawn([v1, v2, slot, s, walk, fs](
                   exec::ThreadCtx& ctx) -> exec::SimTask {
         ctx.compute(ctx.rng().next_below(32));
@@ -137,7 +137,7 @@ class Count final : public MiniProgram {
       const sim::Addr slot = slots[t];
       const bool bad_ma = p.mode == Mode::kBadMa;
       const Traversal walk(bad_ma ? p.pattern : AccessPattern::kLinear,
-                           s.count, p.stride, p.seed + t);
+                           s.count, p.seed + t);
       const std::uint64_t period = std::max<std::uint64_t>(4, n / 2048);
       m.spawn([v, slot, s, walk, period](
                   exec::ThreadCtx& ctx) -> exec::SimTask {

@@ -93,28 +93,6 @@ TEST(Training, CsvRoundTripPreservesEverything) {
   }
 }
 
-TEST(TrainingBitIdentity, CoherenceDirectoryDoesNotChangeCacheBytes) {
-  // The O(1) coherence directory is a pure lookup index: a full collection
-  // grid slice simulated with it enabled must serialize to the exact same
-  // training-cache bytes as the reference linear-scan implementation
-  // (mirrors the jobs=1 vs jobs=4 determinism test from the par layer).
-  core::TrainingConfig config = core::TrainingConfig::reduced();
-  config.thread_counts = {3};
-  config.jobs = 2;
-  ASSERT_TRUE(config.machine.directory_enabled());
-  const core::TrainingData with_dir = core::collect_training_data(config);
-
-  core::TrainingConfig reference = config;
-  reference.machine.use_coherence_directory = false;
-  const core::TrainingData with_scan = core::collect_training_data(reference);
-
-  std::stringstream a, b;
-  with_dir.save_csv(a);
-  with_scan.save_csv(b);
-  ASSERT_EQ(with_dir.instances.size(), with_scan.instances.size());
-  EXPECT_EQ(a.str(), b.str());  // byte-identical cache
-}
-
 TEST(TrainingBitIdentity, ReducedGridCrcPinned) {
   // The reduced grid at seed 42 serializes to these exact bytes, the same
   // pin perfbench's self-test checks. A simulator change that moves one

@@ -578,7 +578,8 @@ TEST(Dataset, RejectsBadInput) {
   Dataset d = two_class_schema();
   EXPECT_THROW(d.add({1.0}, 0), std::exception);       // wrong arity
   EXPECT_THROW(d.add({1.0, 2.0}, 5), std::exception);  // bad label
-  EXPECT_THROW(d.stratified_folds(1, *(new util::Rng(1))), std::exception);
+  util::Rng rng(1);
+  EXPECT_THROW(d.stratified_folds(1, rng), std::exception);
 }
 
 // ---- evaluation ---------------------------------------------------------------

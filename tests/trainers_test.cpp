@@ -166,7 +166,7 @@ TEST(Traversal, BijectiveForAllPatterns) {
   for (const auto pattern : {AccessPattern::kLinear, AccessPattern::kStrided,
                              AccessPattern::kRandom}) {
     const std::uint64_t n = 1000;
-    trainers::Traversal t(pattern, n, 16, 9);
+    trainers::Traversal t(pattern, n, 9);
     std::vector<bool> seen(n, false);
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint64_t idx = t.index(i);
@@ -178,7 +178,7 @@ TEST(Traversal, BijectiveForAllPatterns) {
 }
 
 TEST(Traversal, LinearIsIdentity) {
-  trainers::Traversal t(AccessPattern::kLinear, 100, 16, 1);
+  trainers::Traversal t(AccessPattern::kLinear, 100, 1);
   for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(t.index(i), i);
 }
 

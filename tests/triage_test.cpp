@@ -284,6 +284,35 @@ TEST(TriageHarness, TriageOnlyEverRemovesAlarms) {
   }
 }
 
+TEST(TriageHarness, StageOneMatchesRobustnessCellForCell) {
+  // Both harnesses seed each grid cell with core::point_seed, so stage 1 of
+  // a triage sweep is the robustness sweep at the same seed, cell for cell.
+  core::TriageConfig config = harness_config();
+  config.sweep.jitters = {0.0, 0.3};
+  config.sweep.counter_groups = {2};
+  config.sweep.drops = {0.0, 0.3};
+  const core::TriageReport triage =
+      core::evaluate_triage(trained_detector(), fitted_stage(), config);
+  const core::RobustnessReport robustness =
+      core::evaluate_robustness(trained_detector(), config.sweep);
+  ASSERT_EQ(triage.cells.size(), 4u);
+  ASSERT_EQ(robustness.points.size(), triage.cells.size());
+  bool cells_differ = false;
+  for (std::size_t i = 0; i < triage.cells.size(); ++i) {
+    const core::TriageStagePoint& stage1 = triage.cells[i].stage1;
+    const core::RobustnessPoint& point = robustness.points[i];
+    EXPECT_EQ(stage1.abstained, point.abstained) << "cell " << i;
+    EXPECT_EQ(stage1.correct, point.correct) << "cell " << i;
+    EXPECT_EQ(stage1.false_alarms, point.false_positives) << "cell " << i;
+    const core::TriageStagePoint& first = triage.cells[0].stage1;
+    if (stage1.abstained != first.abstained || stage1.correct != first.correct)
+      cells_differ = true;
+  }
+  // If every cell scored alike, matching numbers would not show that both
+  // harnesses drew the same noise.
+  EXPECT_TRUE(cells_differ);
+}
+
 TEST(TriageHarness, ReportIsDeterministicAcrossJobs) {
   core::TriageConfig config = harness_config();
   config.sweep.jitters = {0.0, 0.1};
