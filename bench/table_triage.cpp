@@ -43,12 +43,12 @@ int main(int argc, char** argv) {
     config.sweep.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
     config.sweep.jobs = bench::cli_jobs(cli);
     config.sweep.reduced = cli.get_bool("reduced", false);
-    config.weights.demote_below = cli.get_double_in(
-        "demote-below", config.weights.demote_below, 0.0, 1.0);
+    config.demote_below = cli.get_double_in("demote-below",
+                                            config.demote_below, 0.0, 1.0);
 
     const core::TrainingData data = bench::training_data(cli);
     const core::FalseSharingDetector detector = bench::trained_detector(data);
-    core::TriageStage stage(config.weights);
+    core::TriageStage stage(config.demote_below);
     stage.set_anomaly_model(core::fit_zero_positive(data));
 
     const core::TriageReport report =
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         "Two-stage triage under emulated PMU faults (repeats=%d, "
         "confidence>=%.2f, demote<%.2f)\n"
         "zero-positive (%s): flagged %zu/%zu bad runs, %zu/%zu good runs\n\n",
-        report.repeats, report.min_confidence, report.weights.demote_below,
+        report.repeats, report.min_confidence, report.demote_below,
         stage.anomaly_model().describe().c_str(), report.flagged_bad,
         report.bad_runs, report.flagged_good, report.good_runs);
 

@@ -51,10 +51,21 @@ void check_schema(const std::vector<std::string>& attributes,
       fix);
 }
 
-}  // namespace
+/// The label with the most votes, scanning in severity order bad-fs,
+/// bad-ma, good so ties resolve to the worse verdict.
+int most_severe_plurality(const std::array<std::size_t, 3>& votes) {
+  int best = kGood;
+  std::size_t best_count = 0;
+  for (const int label : {kBadFs, kBadMa, kGood}) {
+    if (votes[static_cast<std::size_t>(label)] > best_count) {
+      best = label;
+      best_count = votes[static_cast<std::size_t>(label)];
+    }
+  }
+  return best;
+}
 
-FalseSharingDetector::FalseSharingDetector(ml::C45Params params)
-    : tree_(params) {}
+}  // namespace
 
 void FalseSharingDetector::train(const TrainingData& data) {
   train(data.to_dataset());
@@ -81,30 +92,18 @@ RobustVerdict FalseSharingDetector::classify_robust(
   RobustVerdict out;
   out.repeats = static_cast<std::size_t>(config.repeats);
 
-  // One scratch buffer, one slot per class, absorbs the fractional NaN
-  // descent of every repeat, so the vote loop does not allocate.
-  std::array<double, 3> scratch{};
   for (std::size_t r = 0; r < out.repeats; ++r) {
     const std::optional<pmu::FeatureVector> features = measure(r);
     if (!features) continue;  // unusable measurement; retry bounded by loop
-    ++out.votes[static_cast<std::size_t>(
-        tree_.predict(features->values(), scratch))];
+    ++out.votes[static_cast<std::size_t>(tree_.predict(features->values()))];
     ++out.classified;
   }
   if (out.classified == 0) return out;  // nothing usable: unknown
 
-  // Same severity-ordered scan as majority(): ties go to the worse verdict.
-  const std::array<int, 3> severity_order = {kBadFs, kBadMa, kGood};
-  int best = kGood;
-  std::size_t best_count = 0;
-  for (const int label : severity_order) {
-    if (out.votes[static_cast<std::size_t>(label)] > best_count) {
-      best = label;
-      best_count = out.votes[static_cast<std::size_t>(label)];
-    }
-  }
-  out.confidence = static_cast<double>(best_count) /
-                   static_cast<double>(out.classified);
+  const int best = most_severe_plurality(out.votes);
+  out.confidence =
+      static_cast<double>(out.votes[static_cast<std::size_t>(best)]) /
+      static_cast<double>(out.classified);
   if (out.confidence >= config.min_confidence) {
     out.known = true;
     out.mode = mode_of(best);
@@ -118,18 +117,7 @@ trainers::Mode FalseSharingDetector::majority(
   std::array<std::size_t, 3> counts{};
   for (const trainers::Mode v : verdicts)
     ++counts[static_cast<std::size_t>(label_of(v))];
-  // Scan in severity order bad-fs, bad-ma, good so ties resolve to the
-  // worse verdict.
-  const std::array<int, 3> severity_order = {kBadFs, kBadMa, kGood};
-  int best = kGood;
-  std::size_t best_count = 0;
-  for (const int label : severity_order) {
-    if (counts[static_cast<std::size_t>(label)] > best_count) {
-      best = label;
-      best_count = counts[static_cast<std::size_t>(label)];
-    }
-  }
-  return mode_of(best);
+  return mode_of(most_severe_plurality(counts));
 }
 
 void FalseSharingDetector::save(std::ostream& os) const {

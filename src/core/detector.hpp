@@ -72,8 +72,6 @@ struct RobustVerdict {
 
 class FalseSharingDetector {
  public:
-  explicit FalseSharingDetector(ml::C45Params params = {});
-
   /// Trains the tree on collected mini-program data. A Dataset must carry
   /// the detector's schema — the 15 feature names of
   /// pmu::FeatureVector::feature_names() and the class names of

@@ -17,6 +17,12 @@ using trainers::MiniProgram;
 using trainers::Mode;
 using trainers::TrainerParams;
 
+/// "for a majority of mini-programs": an event is selected when it passes
+/// more than this fraction of them.
+constexpr double kMajorityFraction = 0.5;
+/// Normalized counts below this are treated as zero/noise.
+constexpr double kNoiseFloor = 1e-7;
+
 /// Normalized candidate-event counts of one run.
 std::vector<double> run_and_normalize(const MiniProgram& program,
                                       const TrainerParams& params,
@@ -29,9 +35,9 @@ std::vector<double> run_and_normalize(const MiniProgram& program,
 
 /// max(r, 1/r) with care for (near-)zero counts: a signal appearing from
 /// nothing is an infinite ratio; two silent counters are ratio 1.
-double symmetric_ratio(double good, double bad, double noise_floor) {
-  const bool good_zero = good < noise_floor;
-  const bool bad_zero = bad < noise_floor;
+double symmetric_ratio(double good, double bad) {
+  const bool good_zero = good < kNoiseFloor;
+  const bool bad_zero = bad < kNoiseFloor;
   if (good_zero && bad_zero) return 1.0;
   if (good_zero || bad_zero) return std::numeric_limits<double>::infinity();
   return std::max(good / bad, bad / good);
@@ -76,8 +82,7 @@ StepResult selection_step(const EventSelectionConfig& config,
       const auto bad = run_and_normalize(*program, params, config.machine,
                                          candidates);
       for (std::size_t e = 0; e < candidates.size(); ++e)
-        per_thread_ratios[e].push_back(
-            symmetric_ratio(good[e], bad[e], config.noise_floor));
+        per_thread_ratios[e].push_back(symmetric_ratio(good[e], bad[e]));
     }
 
     std::vector<double> medians(candidates.size());
@@ -103,7 +108,7 @@ StepResult selection_step(const EventSelectionConfig& config,
     stat.median_ratio = per_program[per_program.size() / 2];
     result.stats.push_back(stat);
     if (static_cast<double>(stat.programs_passed) >
-        config.majority_fraction * static_cast<double>(stat.programs_total))
+        kMajorityFraction * static_cast<double>(stat.programs_total))
       result.selected.push_back(candidates[e]);
   }
   return result;

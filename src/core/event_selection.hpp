@@ -24,12 +24,9 @@ namespace fsml::core {
 
 struct EventSelectionConfig {
   double ratio_threshold = 2.0;      ///< paper's "minimum 2x" heuristic
-  double majority_fraction = 0.5;    ///< "for a majority of mini-programs"
   std::vector<std::uint32_t> thread_counts = {3, 6, 9, 12};
   std::uint64_t seed = 1;
   sim::MachineConfig machine = sim::MachineConfig::westmere_dp(12);
-  /// Counts below this (normalized) are treated as zero/noise.
-  double noise_floor = 1e-7;
 };
 
 struct EventStat {

@@ -119,6 +119,14 @@ void score(RobustnessPoint& point, Mode label, bool known, Mode mode) {
   if (label == Mode::kGood && mode != Mode::kGood) ++point.false_positives;
 }
 
+/// Noise-model seed of sweep cell `point_index` (grid order: jitter,
+/// counters, drop).
+std::uint64_t point_seed(std::uint64_t base, std::size_t point_index) {
+  util::SplitMix64 a(base);
+  util::SplitMix64 b(0xd1b54a32d192ed03ULL * (point_index + 1));
+  return a.next() ^ b.next();
+}
+
 void json_point(std::ostream& os, const RobustnessPoint& p) {
   os << "{\"jitter\": " << p.jitter << ", \"counters\": " << p.counters
      << ", \"drop\": " << p.drop << ", \"runs\": " << p.runs
@@ -134,12 +142,6 @@ void json_point(std::ostream& os, const RobustnessPoint& p) {
 }
 
 }  // namespace
-
-std::uint64_t point_seed(std::uint64_t base, std::size_t point_index) {
-  util::SplitMix64 a(base);
-  util::SplitMix64 b(0xd1b54a32d192ed03ULL * (point_index + 1));
-  return a.next() ^ b.next();
-}
 
 void RobustnessConfig::validate() const {
   if (jitters.empty() || counter_groups.empty() || drops.empty())
@@ -197,16 +199,46 @@ void RobustnessReport::write_json(std::ostream& os) const {
   os << "\n  ]\n}\n";
 }
 
+std::vector<SweepCell> sweep_noise_grid(const FalseSharingDetector& detector,
+                                        const std::vector<EvalRun>& runs,
+                                        const RobustnessConfig& config) {
+  const std::size_t jobs_n =
+      config.jobs == 0 ? par::ThreadPool::hardware_workers() : config.jobs;
+  par::ThreadPool pool(jobs_n - 1);
+
+  RobustConfig vote;
+  vote.repeats = config.repeats;
+  vote.min_confidence = config.min_confidence;
+
+  std::vector<SweepCell> grid;
+  for (const double jitter : config.jitters)
+    for (const std::size_t counters : config.counter_groups)
+      for (const double drop : config.drops)
+        grid.push_back({jitter, counters, drop, {}});
+
+  par::parallel_for(pool, grid.size(), [&](std::size_t index) {
+    SweepCell& cell = grid[index];
+    pmu::NoiseConfig noise;
+    noise.jitter = cell.jitter;
+    noise.counters = cell.counters;
+    noise.drop_probability = cell.drop;
+    noise.seed = point_seed(config.seed, index);
+    const pmu::MeasurementModel model(noise);
+    cell.verdicts.reserve(runs.size());
+    for (std::size_t r = 0; r < runs.size(); ++r)
+      cell.verdicts.push_back(classify_degraded(
+          detector, runs[r].result, model, vote,
+          r * static_cast<std::uint64_t>(config.repeats)));
+  });
+  return grid;
+}
+
 RobustnessReport evaluate_robustness(const FalseSharingDetector& detector,
                                      const RobustnessConfig& config,
                                      std::ostream* log) {
   FSML_CHECK_MSG(detector.trained(), "detector is not trained");
   config.validate();
   const auto start = std::chrono::steady_clock::now();
-
-  const std::size_t jobs_n =
-      config.jobs == 0 ? par::ThreadPool::hardware_workers() : config.jobs;
-  par::ThreadPool pool(jobs_n - 1);
 
   // Simulate the evaluation runs once; every grid point re-measures these.
   const std::vector<EvalRun> runs = simulate_evaluation_runs(config, log);
@@ -222,43 +254,16 @@ RobustnessReport evaluate_robustness(const FalseSharingDetector& detector,
     score(report.baseline, run.label, true,
           detector.classify(run.clean_features));
 
-  RobustConfig vote;
-  vote.repeats = config.repeats;
-  vote.min_confidence = config.min_confidence;
-
-  struct GridPoint {
-    double jitter;
-    std::size_t counters;
-    double drop;
-    std::size_t index;
-  };
-  std::vector<GridPoint> grid;
-  for (const double jitter : config.jitters)
-    for (const std::size_t counters : config.counter_groups)
-      for (const double drop : config.drops)
-        grid.push_back({jitter, counters, drop, grid.size()});
-
-  report.points = par::parallel_transform(
-      pool, grid, [&](const GridPoint& cell) {
-        pmu::NoiseConfig noise;
-        noise.jitter = cell.jitter;
-        noise.counters = cell.counters;
-        noise.drop_probability = cell.drop;
-        noise.seed = point_seed(config.seed, cell.index);
-        const pmu::MeasurementModel model(noise);
-
-        RobustnessPoint point;
-        point.jitter = cell.jitter;
-        point.counters = cell.counters;
-        point.drop = cell.drop;
-        for (std::size_t r = 0; r < runs.size(); ++r) {
-          const RobustVerdict verdict = classify_degraded(
-              detector, runs[r].result, model, vote,
-              r * static_cast<std::uint64_t>(config.repeats));
-          score(point, runs[r].label, verdict.known, verdict.mode);
-        }
-        return point;
-      });
+  for (const SweepCell& cell : sweep_noise_grid(detector, runs, config)) {
+    RobustnessPoint point;
+    point.jitter = cell.jitter;
+    point.counters = cell.counters;
+    point.drop = cell.drop;
+    for (std::size_t r = 0; r < runs.size(); ++r)
+      score(point, runs[r].label, cell.verdicts[r].known,
+            cell.verdicts[r].mode);
+    report.points.push_back(point);
+  }
 
   if (log) {
     const std::chrono::duration<double> elapsed =

@@ -18,7 +18,8 @@
 // Both the run collection and the grid sweep fan out on the fsml::par pool;
 // every model seed derives from (config.seed, grid coordinates) and every
 // measurement from (run index, repeat), so any `jobs` value produces a
-// bit-identical report.
+// bit-identical report. The triage harness (core/triage.hpp) re-ranks the
+// verdicts of the same sweep (sweep_noise_grid).
 #pragma once
 
 #include <cstdint>
@@ -74,11 +75,21 @@ struct EvalRun {
 std::vector<EvalRun> simulate_evaluation_runs(const RobustnessConfig& config,
                                               std::ostream* log = nullptr);
 
-/// Noise-model seed of sweep cell `point_index` (grid order: jitter,
-/// counters, drop). evaluate_robustness and the triage harness both seed
-/// their cells with it, so a triage sweep's stage-1 numbers line up
-/// cell-for-cell with a robustness sweep run at the same seed.
-std::uint64_t point_seed(std::uint64_t base, std::size_t point_index);
+/// One noise grid cell and every evaluation run's verdict under it.
+struct SweepCell {
+  double jitter = 0.0;
+  std::size_t counters = 0;
+  double drop = 0.0;
+  std::vector<RobustVerdict> verdicts;  ///< one per run, in run order
+};
+
+/// The noise-grid sweep: classifies every run through classify_degraded at
+/// every grid cell (grid order: jitter, counters, drop), on the fsml::par
+/// pool. evaluate_robustness scores these verdicts and evaluate_triage
+/// re-ranks them. Bit-identical for any `config.jobs` value.
+std::vector<SweepCell> sweep_noise_grid(const FalseSharingDetector& detector,
+                                        const std::vector<EvalRun>& runs,
+                                        const RobustnessConfig& config);
 
 /// Scores of one sweep cell (or of the clean baseline).
 struct RobustnessPoint {

@@ -30,6 +30,10 @@ using trainers::MiniProgram;
 using trainers::Mode;
 using trainers::TrainerParams;
 
+/// The paper's "difference not significant enough" filter: bad-ma runs
+/// must be >= 20% slower than the matching good runs (median runtimes).
+constexpr double kSignificanceGap = 1.20;
+
 std::uint64_t run_seed(std::uint64_t base, const std::string& program,
                        std::uint64_t size, std::uint32_t threads, Mode mode,
                        AccessPattern pattern, int rep) {
@@ -183,9 +187,10 @@ std::uint64_t config_fingerprint(const TrainingConfig& config,
   mix_u64(static_cast<std::uint64_t>(config.reps_bad_ma));
   mix_u64(static_cast<std::uint64_t>(config.seq_reps_good));
   mix_u64(static_cast<std::uint64_t>(config.seq_reps_bad_ma));
+  // The gap stays in the fingerprint so existing journals still resume.
   std::uint64_t gap_bits = 0;
-  static_assert(sizeof gap_bits == sizeof config.significance_gap);
-  std::memcpy(&gap_bits, &config.significance_gap, sizeof gap_bits);
+  static_assert(sizeof gap_bits == sizeof kSignificanceGap);
+  std::memcpy(&gap_bits, &kSignificanceGap, sizeof gap_bits);
   mix_u64(gap_bits);
   mix_u64(config.filter ? 1 : 0);
   // Spread the 32-bit CRC over 64 bits the same way run_seed does.
@@ -276,7 +281,7 @@ void filter_group_a(std::vector<LabeledInstance> group,
   if (config.filter && !bad_ma.empty() && !good.empty()) {
     const double good_med = median_seconds(good);
     const double bad_med = median_seconds(bad_ma);
-    drop_bad_ma = bad_med < config.significance_gap * good_med;
+    drop_bad_ma = bad_med < kSignificanceGap * good_med;
   }
   for (LabeledInstance& inst : group) {
     if (drop_bad_ma && inst.label == kBadMa) {
@@ -307,7 +312,7 @@ void filter_group_b(std::vector<LabeledInstance> group,
   if (config.filter && !good.empty()) {  // quarantine can empty the baseline
     const double good_med = median_seconds(good);
     for (const auto& [pattern, instances] : bad_ma) {
-      if (median_seconds(instances) < config.significance_gap * good_med)
+      if (median_seconds(instances) < kSignificanceGap * good_med)
         dropped_patterns.push_back(pattern);
     }
   }
@@ -403,7 +408,7 @@ TrainingData collect_training_data(const TrainingConfig& config,
         const CollectJob& job = jobs[i];
         const std::string key = job_key(job);
         injector->maybe_throw("collect.run", key, attempt);
-        if (injector->should_hang("collect.run", key, attempt))
+        if (injector->should_hang(key))
           injector->hang(token);  // spins until the deadline cancels us
 
         LabeledInstance inst =

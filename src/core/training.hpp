@@ -9,8 +9,8 @@
 // inspection as an explicit runtime-gap filter (see TrainingConfig), so the
 // Table-3 census is regenerated rather than transcribed:
 //  * Part A: bad-ma instances of a (program, size, threads) group are
-//    removed when the group's median bad-ma runtime is less than
-//    `significance_gap` x the matching good median.
+//    removed when the group's median bad-ma runtime is less than 1.2x the
+//    matching good median.
 //  * Part B: *whole groups* (good and bad-ma instances alike) are removed
 //    under the same condition — for tiny arrays both variants behave the
 //    same and neither is useful training signal.
@@ -38,7 +38,6 @@ struct TrainingConfig {
   int reps_bad_ma = 2;       ///< per pattern? no: total, pattern alternates
   int seq_reps_good = 6;
   int seq_reps_bad_ma = 2;   ///< per access pattern (random, strided)
-  double significance_gap = 1.20;  ///< bad must be >= 20% slower than good
   bool filter = true;
   std::uint64_t seed = 42;
   /// Host threads running simulations concurrently. 0 = hardware

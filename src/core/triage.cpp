@@ -10,7 +10,6 @@
 
 #include "par/parallel_for.hpp"
 #include "par/thread_pool.hpp"
-#include "pmu/noise.hpp"
 #include "util/check.hpp"
 #include "util/time_format.hpp"
 
@@ -20,8 +19,17 @@ namespace {
 
 using trainers::Mode;
 
-void weights_error(const std::string& what) {
-  throw std::runtime_error("TriageWeights: " + what);
+/// Fusion weights of the four credibility terms; the priority is their
+/// weighted average.
+constexpr double kWeightConfidence = 0.45;
+constexpr double kWeightAnomaly = 0.30;
+constexpr double kWeightPhase = 0.15;
+constexpr double kWeightMetadata = 0.10;
+
+void check_demote_below(double demote_below) {
+  if (std::isnan(demote_below) || demote_below < 0.0 || demote_below > 1.0)
+    throw std::runtime_error("triage: demote_below must be in [0, 1], got " +
+                             std::to_string(demote_below));
 }
 
 /// The run's clean features over the extended schema.
@@ -61,16 +69,9 @@ void json_stage(std::ostream& os, const TriageStagePoint& p, std::size_t runs,
 
 }  // namespace
 
-void TriageWeights::validate() const {
-  const double parts[] = {tree_confidence, anomaly, phase, metadata};
-  double sum = 0.0;
-  for (const double w : parts) {
-    if (std::isnan(w) || w < 0.0) weights_error("weights must be >= 0");
-    sum += w;
-  }
-  if (sum <= 0.0) weights_error("at least one weight must be positive");
-  if (std::isnan(demote_below) || demote_below < 0.0 || demote_below > 1.0)
-    weights_error("demote_below must be in [0, 1]");
+void TriageConfig::validate() const {
+  sweep.validate();
+  check_demote_below(demote_below);
 }
 
 std::string TriagedAlarm::to_string() const {
@@ -89,8 +90,8 @@ std::string TriagedAlarm::to_string() const {
   return os.str();
 }
 
-TriageStage::TriageStage(TriageWeights weights) : weights_(weights) {
-  weights_.validate();
+TriageStage::TriageStage(double demote_below) : demote_below_(demote_below) {
+  check_demote_below(demote_below_);
 }
 
 void TriageStage::set_anomaly_model(ml::ZeroPositiveModel model) {
@@ -136,25 +137,24 @@ TriagedAlarm TriageStage::triage(const RobustVerdict& verdict,
   out.term_metadata = 0.5 * thread_term + 0.25 * context.hitm_remote_ratio +
                       0.25 * context.dram_remote_ratio;
 
-  const double weight_sum = weights_.tree_confidence + weights_.anomaly +
-                            weights_.phase + weights_.metadata;
-  out.priority = (weights_.tree_confidence * out.term_confidence +
-                  weights_.anomaly * out.term_anomaly +
-                  weights_.phase * out.term_phase +
-                  weights_.metadata * out.term_metadata) /
-                 weight_sum;
+  constexpr double kWeightSum =
+      kWeightConfidence + kWeightAnomaly + kWeightPhase + kWeightMetadata;
+  out.priority = (kWeightConfidence * out.term_confidence +
+                  kWeightAnomaly * out.term_anomaly +
+                  kWeightPhase * out.term_phase +
+                  kWeightMetadata * out.term_metadata) /
+                 kWeightSum;
 
   const bool is_alarm = verdict.known && verdict.mode != Mode::kGood;
-  if (is_alarm && out.priority < weights_.demote_below) {
+  if (is_alarm && out.priority < demote_below_) {
     out.demoted = true;
     out.verdict.known = false;
   }
   return out;
 }
 
-ml::ZeroPositiveModel fit_zero_positive(const TrainingData& data,
-                                        ml::ZeroPositiveParams params) {
-  ml::ZeroPositiveModel model(params);
+ml::ZeroPositiveModel fit_zero_positive(const TrainingData& data) {
+  ml::ZeroPositiveModel model;
   model.fit(data.good_extended_rows(), extended_feature_names());
   return model;
 }
@@ -171,11 +171,10 @@ void TriageReport::write_json(std::ostream& os) const {
      << ", \"components\": " << anomaly_components
      << ", \"flagged_bad\": " << flagged_bad
      << ", \"flagged_good\": " << flagged_good << "},\n";
-  os << "  \"weights\": {\"tree_confidence\": " << weights.tree_confidence
-     << ", \"anomaly\": " << weights.anomaly
-     << ", \"phase\": " << weights.phase
-     << ", \"metadata\": " << weights.metadata
-     << ", \"demote_below\": " << weights.demote_below << "},\n";
+  os << "  \"weights\": {\"tree_confidence\": " << kWeightConfidence
+     << ", \"anomaly\": " << kWeightAnomaly << ", \"phase\": " << kWeightPhase
+     << ", \"metadata\": " << kWeightMetadata
+     << ", \"demote_below\": " << demote_below << "},\n";
   os << "  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const TriageCell& c = cells[i];
@@ -218,12 +217,19 @@ TriageReport evaluate_triage(const FalseSharingDetector& detector,
   const std::vector<SliceReport> slice_reports = par::parallel_transform(
       pool, runs,
       [&](const EvalRun& run) { return analyze_slices(detector, run.result); });
+  std::vector<AlarmContext> contexts(runs.size());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    contexts[r].threads = runs[r].threads;
+    contexts[r].hitm_remote_ratio = runs[r].locality.hitm_remote_ratio;
+    contexts[r].dram_remote_ratio = runs[r].locality.dram_remote_ratio;
+    contexts[r].slices = &slice_reports[r];
+  }
 
   TriageReport report;
   report.repeats = sweep.repeats;
   report.min_confidence = sweep.min_confidence;
   report.seed = sweep.seed;
-  report.weights = config.weights;
+  report.demote_below = config.demote_below;
   report.runs = runs.size();
 
   const ml::ZeroPositiveModel& anomaly = stage.anomaly_model();
@@ -241,56 +247,24 @@ TriageReport evaluate_triage(const FalseSharingDetector& detector,
     }
   }
 
-  RobustConfig vote;
-  vote.repeats = sweep.repeats;
-  vote.min_confidence = sweep.min_confidence;
-
-  struct GridCell {
-    double jitter;
-    std::size_t counters;
-    double drop;
-    std::size_t index;
-  };
-  std::vector<GridCell> grid;
-  for (const double jitter : sweep.jitters)
-    for (const std::size_t counters : sweep.counter_groups)
-      for (const double drop : sweep.drops)
-        grid.push_back({jitter, counters, drop, grid.size()});
-
-  report.cells = par::parallel_transform(
-      pool, grid, [&](const GridCell& cell) {
-        pmu::NoiseConfig noise;
-        noise.jitter = cell.jitter;
-        noise.counters = cell.counters;
-        noise.drop_probability = cell.drop;
-        noise.seed = point_seed(sweep.seed, cell.index);
-        const pmu::MeasurementModel model(noise);
-
-        TriageCell out;
-        out.jitter = cell.jitter;
-        out.counters = cell.counters;
-        out.drop = cell.drop;
-        for (std::size_t r = 0; r < runs.size(); ++r) {
-          const RobustVerdict verdict = classify_degraded(
-              detector, runs[r].result, model, vote,
-              r * static_cast<std::uint64_t>(sweep.repeats));
-          score_stage(out.stage1, runs[r].label, verdict);
-
-          AlarmContext context;
-          context.threads = runs[r].threads;
-          context.hitm_remote_ratio = runs[r].locality.hitm_remote_ratio;
-          context.dram_remote_ratio = runs[r].locality.dram_remote_ratio;
-          context.slices = &slice_reports[r];
-          const TriagedAlarm alarm =
-              stage.triage(verdict, extended[r], context);
-          score_stage(out.stage2, runs[r].label, alarm.verdict);
-          if (alarm.demoted) {
-            ++out.demoted;
-            if (runs[r].label != Mode::kGood) ++out.demoted_true;
-          }
-        }
-        return out;
-      });
+  // Stage 1 is the robustness sweep itself; stage 2 re-ranks its verdicts.
+  for (const SweepCell& cell : sweep_noise_grid(detector, runs, sweep)) {
+    TriageCell out;
+    out.jitter = cell.jitter;
+    out.counters = cell.counters;
+    out.drop = cell.drop;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      score_stage(out.stage1, runs[r].label, cell.verdicts[r]);
+      const TriagedAlarm alarm =
+          stage.triage(cell.verdicts[r], extended[r], contexts[r]);
+      score_stage(out.stage2, runs[r].label, alarm.verdict);
+      if (alarm.demoted) {
+        ++out.demoted;
+        if (runs[r].label != Mode::kGood) ++out.demoted_true;
+      }
+    }
+    report.cells.push_back(out);
+  }
 
   if (log) {
     const std::chrono::duration<double> elapsed =

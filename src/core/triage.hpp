@@ -16,6 +16,8 @@
 //  * run metadata — thread count and NUMA locality: contention grows with
 //    parallelism, and remote-HITM-dominated traffic is the expensive kind.
 //
+// The priority is the weighted average of the four terms, with fixed
+// weights 0.45 / 0.30 / 0.15 / 0.10 in that order.
 // Alarms whose fused priority falls below `demote_below` are demoted to the
 // detector's distinct `unknown` verdict — the pipeline would rather say "I
 // can't call this" than page someone on a low-credibility alarm. Good and
@@ -27,9 +29,10 @@
 //   core::TriagedAlarm alarm = stage.triage(verdict, extended, context);
 //   if (alarm.verdict.known) ...   // alarm survived, alarm.priority set
 //
-// evaluate_triage() scores the full pipeline on the robustness harness's
-// evaluation set and emits the "fsml-triage-v1" artifact comparing stage-1
-// and stage-2 precision/recall/abstention at every noise grid point.
+// evaluate_triage() re-ranks the robustness harness's noise-grid sweep
+// (core::sweep_noise_grid) and emits the "fsml-triage-v1" artifact
+// comparing stage-1 and stage-2 precision/recall/abstention at every noise
+// grid point.
 #pragma once
 
 #include <cstdint>
@@ -46,21 +49,9 @@
 
 namespace fsml::core {
 
-/// Fusion weights and the demotion cutoff. Weights need not sum to 1 — the
-/// priority is the weighted average — but must all be non-negative with a
-/// positive sum.
-struct TriageWeights {
-  double tree_confidence = 0.45;
-  double anomaly = 0.30;
-  double phase = 0.15;
-  double metadata = 0.10;
-  /// Alarms with fused priority below this demote to `unknown`.
-  double demote_below = 0.35;
-
-  /// Throws std::runtime_error on negative weights, a zero weight sum, or
-  /// an out-of-range cutoff.
-  void validate() const;
-};
+/// Default demotion cutoff: alarms with fused priority below it demote to
+/// `unknown` (`--demote-below`).
+inline constexpr double kDefaultDemoteBelow = 0.35;
 
 /// Per-alarm side information the fusion consumes. All fields optional in
 /// spirit: zeroed metadata and a null slice report fall back to neutral
@@ -95,15 +86,14 @@ struct TriagedAlarm {
 
 class TriageStage {
  public:
-  explicit TriageStage(TriageWeights weights = {});
+  /// Throws std::runtime_error unless `demote_below` is in [0, 1].
+  explicit TriageStage(double demote_below = kDefaultDemoteBelow);
 
   /// Attaches a fitted zero-positive model; without one the anomaly term is
   /// neutral (0.5) and anomaly_score is NaN.
   void set_anomaly_model(ml::ZeroPositiveModel model);
   bool has_anomaly_model() const { return anomaly_.has_value(); }
   const ml::ZeroPositiveModel& anomaly_model() const;
-
-  const TriageWeights& weights() const { return weights_; }
 
   /// Re-ranks one verdict. `extended` is the run's features in
   /// extended_feature_names() order (15 normalized events + locality
@@ -114,23 +104,24 @@ class TriageStage {
                       const AlarmContext& context) const;
 
  private:
-  TriageWeights weights_;
+  double demote_below_;
   std::optional<ml::ZeroPositiveModel> anomaly_;
 };
 
 /// Fits the zero-positive anomaly model on the good-labelled rows of a
 /// training collection over the extended feature schema.
-ml::ZeroPositiveModel fit_zero_positive(const TrainingData& data,
-                                        ml::ZeroPositiveParams params = {});
+ml::ZeroPositiveModel fit_zero_positive(const TrainingData& data);
 
 // ---- two-stage evaluation harness ------------------------------------------
 
 struct TriageConfig {
   /// Evaluation set and noise grid (shared with evaluate_robustness).
   RobustnessConfig sweep;
-  TriageWeights weights;
+  /// Demotion cutoff of the stage the report describes, in [0, 1].
+  double demote_below = kDefaultDemoteBelow;
 
-  void validate() const { sweep.validate(); weights.validate(); }
+  /// Throws std::runtime_error on an invalid sweep or cutoff.
+  void validate() const;
 };
 
 /// Alarm-level scores of one pipeline stage at one grid cell. An *alarm* is
@@ -183,7 +174,7 @@ struct TriageReport {
   double anomaly_threshold = 0.0;
   std::size_t anomaly_components = 0;
 
-  TriageWeights weights;
+  double demote_below = 0.0;
   std::vector<TriageCell> cells;  ///< grid order: jitter, counters, drop
   int repeats = 0;
   double min_confidence = 0.0;
@@ -194,8 +185,9 @@ struct TriageReport {
 };
 
 /// Runs the two-stage evaluation: simulate the evaluation set once, fit a
-/// slice report per run, then sweep the noise grid classifying every run
-/// through stage 1 (classify_degraded) and stage 2 (`stage.triage`).
+/// slice report per run, run the robustness sweep (sweep_noise_grid) as
+/// stage 1, and re-rank each of its verdicts through stage 2
+/// (`stage.triage`).
 /// Deterministic for any `sweep.jobs` value. The stage must carry an
 /// anomaly model (fit one with fit_zero_positive).
 TriageReport evaluate_triage(const FalseSharingDetector& detector,

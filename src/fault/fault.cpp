@@ -43,18 +43,14 @@ void FaultInjector::maybe_throw(std::string_view site, std::string_view key,
                         std::to_string(attempt));
 }
 
-bool FaultInjector::should_hang(std::string_view site, std::string_view key,
-                                int attempt) const {
-  if (std::find(plan_.hang_keys.begin(), plan_.hang_keys.end(), key) !=
-      plan_.hang_keys.end())
-    return true;  // persistent: every attempt overruns
-  if (plan_.hang_rate <= 0.0 || attempt > 1) return false;
-  return draw(site, key, /*salt=*/2) < plan_.hang_rate;
+bool FaultInjector::should_hang(std::string_view key) const {
+  return std::find(plan_.hang_keys.begin(), plan_.hang_keys.end(), key) !=
+         plan_.hang_keys.end();
 }
 
 void FaultInjector::hang(const par::CancelToken& token) const {
   const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      std::chrono::steady_clock::now() + std::chrono::seconds(600);
   while (!token.cancelled()) {
     if (std::chrono::steady_clock::now() >= give_up) break;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -75,8 +71,8 @@ std::uint64_t FaultInjector::stall_for(std::string_view site,
                                        std::string_view key,
                                        int attempt) const {
   if (plan_.stall_rate <= 0.0 || plan_.stall_steps == 0) return 0;
-  // Salt 3 namespaces stall draws away from throws (1) and hangs (2); the
-  // attempt folds in so retries of one key redraw independently.
+  // Salt 3 namespaces stall draws away from throws (1); the attempt folds
+  // in so retries of one key redraw independently.
   const std::uint64_t salt =
       3 + (static_cast<std::uint64_t>(attempt) << 8);
   return draw(site, key, salt) < plan_.stall_rate ? plan_.stall_steps : 0;

@@ -66,9 +66,6 @@ struct FaultPlan {
   /// Leading attempts that fail for keys which drew a throw; retries past
   /// this count succeed. max_attempts <= throw_attempts quarantines them.
   int throw_attempts = 1;
-  /// Probability that a (site, key) draws a transient hang (first attempt
-  /// only — the retry runs clean).
-  double hang_rate = 0.0;
   /// Keys that hang on *every* attempt: guaranteed quarantine.
   std::vector<std::string> hang_keys;
   /// Completed jobs before count_completion() raises InjectedAbort;
@@ -87,7 +84,7 @@ struct FaultPlan {
   double overflow_rate = 0.0;
 
   bool any() const {
-    return throw_rate > 0.0 || hang_rate > 0.0 || !hang_keys.empty() ||
+    return throw_rate > 0.0 || !hang_keys.empty() ||
            abort_after > 0 || corrupt_artifacts ||
            (stall_rate > 0.0 && stall_steps > 0) || overflow_rate > 0.0;
   }
@@ -105,13 +102,14 @@ class FaultInjector {
   void maybe_throw(std::string_view site, std::string_view key,
                    int attempt) const;
 
-  /// True when this attempt must overrun its deadline.
-  bool should_hang(std::string_view site, std::string_view key,
-                   int attempt) const;
+  /// True when the job keyed `key` must overrun its deadline: a key in
+  /// `hang_keys` hangs on every attempt.
+  bool should_hang(std::string_view key) const;
 
-  /// Cooperative hang: sleeps until `token` is cancelled (with a 30 s
+  /// Cooperative hang: sleeps until `token` is cancelled (with a 600 s
   /// safety cap so a missing watchdog cannot wedge a test run), then
-  /// unwinds with CancelledError.
+  /// unwinds with CancelledError. The cap must exceed every test deadline:
+  /// a hang that gives up first is not reported as timed out.
   [[noreturn]] void hang(const par::CancelToken& token) const;
 
   /// Counts one completed job; raises InjectedAbort on the abort_after'th.

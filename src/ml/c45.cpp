@@ -176,7 +176,7 @@ struct Builder {
 
     const bool pure = *max_it == n;
     if (pure || n < 2.0 * static_cast<double>(params.min_leaf_instances) ||
-        depth >= params.max_depth) {
+        depth >= C45Tree::kMaxDepth) {
       return node;  // leaf
     }
 
@@ -365,7 +365,7 @@ void C45Tree::train(const Dataset& data) {
     items[i] = Item{i, data.at(i).weight};
   Builder builder{data, params_};
   root_ = builder.build(items, 0);
-  if (params_.prune) prune_node(*root_, params_.confidence_factor);
+  if (params_.prune) prune_node(*root_, kConfidenceFactor);
 }
 
 namespace {
@@ -408,16 +408,6 @@ void accumulate_distribution(const C45Tree::Node& node,
 
 int C45Tree::predict(std::span<const double> x) const {
   FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
-  const std::size_t k = root_->class_counts.size();
-  double inline_buf[16];
-  if (k <= 16) return predict(x, std::span<double>(inline_buf, k));
-  std::vector<double> scratch(k);
-  return predict(x, scratch);
-}
-
-int C45Tree::predict(std::span<const double> x,
-                     std::span<double> scratch) const {
-  FSML_CHECK_MSG(root_ != nullptr, "C45Tree is not trained");
   FSML_CHECK_MSG(x.size() >= attribute_names_.size(),
                  "feature vector shorter than the training schema");
   const Node* node = root_.get();
@@ -426,14 +416,16 @@ int C45Tree::predict(std::span<const double> x,
     if (is_missing(v)) {
       // Fractional descent from here on; argmax of the combined
       // distribution (ties resolve to the lowest class index, like
-      // max_element over class_counts does on the fast path).
-      FSML_CHECK_MSG(scratch.size() == root_->class_counts.size(),
-                     "predict scratch must have the trained class arity");
-      std::fill(scratch.begin(), scratch.end(), 0.0);
-      accumulate_distribution(*node, x, 1.0, scratch);
+      // max_element over class_counts does on the fast path). Up to 16
+      // classes accumulate on the stack.
+      const std::size_t k = root_->class_counts.size();
+      double inline_buf[16];
+      std::vector<double> heap_buf(k > 16 ? k : 0);
+      const std::span<double> dist(k > 16 ? heap_buf.data() : inline_buf, k);
+      std::fill(dist.begin(), dist.end(), 0.0);
+      accumulate_distribution(*node, x, 1.0, dist);
       return static_cast<int>(std::distance(
-          scratch.begin(),
-          std::max_element(scratch.begin(), scratch.end())));
+          dist.begin(), std::max_element(dist.begin(), dist.end())));
     }
     node = v <= node->threshold ? node->left.get() : node->right.get();
   }
@@ -533,14 +525,13 @@ void save_node(const C45Tree::Node& node, std::ostream& os) {
 struct TreeShape {
   std::size_t num_attributes = 0;
   std::size_t num_classes = 0;
-  int max_depth = 0;
 };
 
 std::unique_ptr<C45Tree::Node> load_node(std::istream& is,
                                          const TreeShape& shape, int depth) {
-  FSML_CHECK_MSG(depth <= shape.max_depth,
+  FSML_CHECK_MSG(depth <= C45Tree::kMaxDepth,
                  "tree nests deeper than max_depth " +
-                     std::to_string(shape.max_depth));
+                     std::to_string(C45Tree::kMaxDepth));
   std::string kind;
   is >> kind;
   FSML_CHECK_MSG(static_cast<bool>(is), "truncated tree file");
@@ -611,12 +602,12 @@ void C45Tree::save(std::ostream& os) const {
   os.precision(old_precision);
 }
 
-C45Tree C45Tree::load(std::istream& is, C45Params params) {
+C45Tree C45Tree::load(std::istream& is) {
   std::string magic, version;
   is >> magic >> version;
   FSML_CHECK_MSG(magic == "fsml-c45" && version == "v1",
                  "not a fsml-c45 v1 model file");
-  C45Tree tree(params);
+  C45Tree tree;
   std::string keyword;
   std::size_t count = 0;
   is >> keyword >> count;
@@ -628,10 +619,9 @@ C45Tree C45Tree::load(std::istream& is, C45Params params) {
   tree.attribute_names_.resize(count);
   for (auto& a : tree.attribute_names_) is >> a;
   FSML_CHECK_MSG(static_cast<bool>(is), "malformed model header");
-  tree.root_ = load_node(is,
-                         TreeShape{tree.attribute_names_.size(),
-                                   tree.class_names_.size(), params.max_depth},
-                         0);
+  tree.root_ = load_node(
+      is, TreeShape{tree.attribute_names_.size(), tree.class_names_.size()},
+      0);
   tree.trained_num_classes_ = tree.class_names_.size();
   return tree;
 }

@@ -34,14 +34,18 @@ namespace fsml::ml {
 
 struct C45Params {
   std::size_t min_leaf_instances = 2;   ///< J48 "-M 2"
-  double confidence_factor = 0.25;      ///< J48 "-C 0.25"; pruning strength
   bool prune = true;                    ///< pessimistic pruning on/off
   bool mdl_correction = true;           ///< C4.5 Rel-8 continuous-split fix
-  int max_depth = 64;                   ///< safety bound
 };
 
 class C45Tree final : public Classifier {
  public:
+  /// J48 "-C 0.25": the pruning strength.
+  static constexpr double kConfidenceFactor = 0.25;
+  /// Safety bound: training stops splitting at this depth, and load()
+  /// rejects a tree that nests deeper.
+  static constexpr int kMaxDepth = 64;
+
   explicit C45Tree(C45Params params = {});
   C45Tree(const C45Tree& other);
   C45Tree(C45Tree&&) noexcept = default;
@@ -50,12 +54,9 @@ class C45Tree final : public Classifier {
 
   void train(const Dataset& data) override;
   /// predict() and distribution() throw util::CheckFailure before training
-  /// and on a vector shorter than the training schema.
+  /// and on a vector shorter than the training schema. predict() does not
+  /// allocate for up to 16 classes, NaN slots included.
   int predict(std::span<const double> x) const override;
-  /// Scratch-buffer predict: identical result, but the fractional NaN
-  /// descent accumulates into `scratch` (trained class arity) instead of
-  /// allocating per call — the serve vote loop reuses one buffer.
-  int predict(std::span<const double> x, std::span<double> scratch) const;
   std::vector<double> distribution(std::span<const double> x) const override;
   std::string describe() const override;
   std::string name() const override {
@@ -63,8 +64,6 @@ class C45Tree final : public Classifier {
   }
   bool handles_missing() const override { return true; }
   std::unique_ptr<Classifier> make_untrained() const override;
-
-  const C45Params& params() const { return params_; }
 
   /// Leaf count / total node count of the trained tree (Figure 2 reports
   /// "6 leaves and 11 nodes").
@@ -80,9 +79,9 @@ class C45Tree final : public Classifier {
   /// container of ml/io.hpp (save_model/load_model). load() rejects a tree
   /// that could not have been trained on its own header: a split on an
   /// attribute past the schema, a leaf class or count vector that does not
-  /// fit the class count, or nesting deeper than `params.max_depth`.
+  /// fit the class count, or nesting deeper than kMaxDepth.
   void save(std::ostream& os) const;
-  static C45Tree load(std::istream& is, C45Params params = {});
+  static C45Tree load(std::istream& is);
 
   /// Training schema (set by train() or load()); empty before either.
   const std::vector<std::string>& attribute_names() const {

@@ -9,24 +9,28 @@
 
 namespace fsml::ml {
 
-RandomForest::RandomForest(ForestParams params) : params_(params) {}
+namespace {
+
+constexpr std::size_t kNumTrees = 25;
+constexpr std::uint64_t kSeed = 1;
+
+}  // namespace
 
 void RandomForest::train(const Dataset& data) {
   FSML_CHECK_MSG(!data.empty(), "cannot train on an empty dataset");
   trained_num_classes_ = data.num_classes();
   trees_.clear();
-  util::Rng rng(params_.seed);
+  util::Rng rng(kSeed);
 
-  std::size_t attrs_per_tree = params_.attributes_per_tree;
-  if (attrs_per_tree == 0)
-    attrs_per_tree = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(data.num_attributes()))));
-  attrs_per_tree = std::min(attrs_per_tree, data.num_attributes());
+  const std::size_t attrs_per_tree =
+      std::min(static_cast<std::size_t>(std::ceil(
+                   std::sqrt(static_cast<double>(data.num_attributes())))),
+               data.num_attributes());
 
   std::vector<std::size_t> all_attrs(data.num_attributes());
   std::iota(all_attrs.begin(), all_attrs.end(), 0);
 
-  for (std::size_t t = 0; t < params_.num_trees; ++t) {
+  for (std::size_t t = 0; t < kNumTrees; ++t) {
     // Attribute subsample.
     std::vector<std::size_t> attrs = all_attrs;
     util::shuffle(attrs.begin(), attrs.end(), rng);
@@ -46,7 +50,7 @@ void RandomForest::train(const Dataset& data) {
       boot.add(std::move(x), src.y);
     }
 
-    C45Tree tree(params_.tree_params);
+    C45Tree tree(C45Params{.prune = false});
     tree.train(boot);
     trees_.emplace_back(std::move(tree), std::move(attrs));
   }
@@ -79,7 +83,7 @@ std::string RandomForest::describe() const {
 }
 
 std::unique_ptr<Classifier> RandomForest::make_untrained() const {
-  return std::make_unique<RandomForest>(params_);
+  return std::make_unique<RandomForest>();
 }
 
 }  // namespace fsml::ml

@@ -12,18 +12,10 @@
 
 namespace fsml::ml {
 
-struct ForestParams {
-  std::size_t num_trees = 25;
-  /// Attributes sampled per tree; 0 = ceil(sqrt(num_attributes)).
-  std::size_t attributes_per_tree = 0;
-  std::uint64_t seed = 1;
-  C45Params tree_params{.prune = false};  // forests use unpruned trees
-};
-
+/// 25 unpruned C4.5 trees, each trained on a bootstrap sample projected onto
+/// ceil(sqrt(num_attributes)) randomly drawn attributes; seed 1.
 class RandomForest final : public Classifier {
  public:
-  explicit RandomForest(ForestParams params = {});
-
   void train(const Dataset& data) override;
   int predict(std::span<const double> x) const override;
   std::vector<double> distribution(std::span<const double> x) const override;
@@ -41,7 +33,6 @@ class RandomForest final : public Classifier {
         : tree(std::move(t)), attributes(std::move(a)) {}
   };
 
-  ForestParams params_;
   std::vector<Member> trees_;
 };
 

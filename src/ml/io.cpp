@@ -181,19 +181,19 @@ void save_model(const C45Tree& tree, std::ostream& os) {
                   schema_hash(tree.attribute_names(), tree.class_names()));
 }
 
-C45Tree load_model(std::istream& is, C45Params params) {
+C45Tree load_model(std::istream& is) {
   std::string magic;
   is >> magic;
   if (!is) model_error("empty or unreadable stream");
   is.seekg(0);
   if (magic == "fsml-c45") {
     // Legacy bare payload (pre-container): load directly.
-    return C45Tree::load(is, params);
+    return C45Tree::load(is);
   }
 
   const ModelContainer container = read_container(is);
   std::istringstream ps(container.payload);
-  C45Tree tree = C45Tree::load(ps, params);
+  C45Tree tree = C45Tree::load(ps);
   if (schema_hash(tree.attribute_names(), tree.class_names()) !=
       container.schema)
     model_error("schema hash does not match the payload: the file is "
@@ -207,14 +207,14 @@ void save_model_file(const C45Tree& tree, const std::string& path) {
   file.commit();
 }
 
-C45Tree load_model_file(const std::string& path, C45Params params) {
+C45Tree load_model_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is)
     throw std::runtime_error("cannot open model file " + path +
                              " — train one with `fsml_analyze train "
                              "--save-model=" + path + "`");
   try {
-    return load_model(is, params);
+    return load_model(is);
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }

@@ -80,11 +80,11 @@ void save_model(const C45Tree& tree, std::ostream& os);
 /// schema hash. Throws std::runtime_error with an actionable message on any
 /// mismatch. Also accepts a bare legacy "fsml-c45 v1" stream (pre-container
 /// files) so existing models keep loading.
-C45Tree load_model(std::istream& is, C45Params params = {});
+C45Tree load_model(std::istream& is);
 
 /// File variants. save_model_file writes atomically (util::AtomicFile):
 /// a crash mid-save leaves the previous model intact.
 void save_model_file(const C45Tree& tree, const std::string& path);
-C45Tree load_model_file(const std::string& path, C45Params params = {});
+C45Tree load_model_file(const std::string& path);
 
 }  // namespace fsml::ml

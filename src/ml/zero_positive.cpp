@@ -19,6 +19,17 @@ namespace {
 constexpr const char* kPayloadMagic = "fsml-zero-positive";
 constexpr int kPayloadVersion = 1;
 
+/// Fraction of good-run variance the kept PCA components must explain.
+constexpr double kVarianceCaptured = 0.95;
+/// Hard cap on kept components (the "bottleneck" width).
+constexpr std::size_t kMaxComponents = 8;
+/// Fraction of good rows held out for threshold calibration.
+constexpr double kCalibrationFraction = 0.25;
+/// Safety factor applied on top of the largest held-out score.
+constexpr double kThresholdMargin = 2.0;
+/// Seed of the held-out split.
+constexpr std::uint64_t kSplitSeed = 42;
+
 [[noreturn]] void zp_error(const std::string& what) {
   throw std::runtime_error("zero-positive model: " + what);
 }
@@ -80,42 +91,10 @@ std::vector<double> jacobi_eigen(std::vector<std::vector<double>> a,
   return eigenvalues;
 }
 
-/// Quantile of a sorted sample (nearest-rank on the inclusive scale:
-/// q=1.0 -> max, q=0.0 -> min).
-double sorted_quantile(const std::vector<double>& sorted, double q) {
-  FSML_CHECK(!sorted.empty());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 }  // namespace
-
-void ZeroPositiveParams::validate() const {
-  const auto in_unit = [](double v) {
-    return !std::isnan(v) && v >= 0.0 && v <= 1.0;
-  };
-  if (!in_unit(variance_captured) || variance_captured <= 0.0)
-    zp_error("variance_captured must be in (0, 1]");
-  if (max_components < 1 || max_components > 64)
-    zp_error("max_components must be in 1..64");
-  if (!in_unit(calibration_fraction) || calibration_fraction <= 0.0 ||
-      calibration_fraction >= 1.0)
-    zp_error("calibration_fraction must be in (0, 1)");
-  if (!in_unit(quantile)) zp_error("quantile must be in [0, 1]");
-  if (std::isnan(threshold_margin) || threshold_margin < 1.0 ||
-      threshold_margin > 1e6)
-    zp_error("threshold_margin must be in [1, 1e6]");
-}
-
-ZeroPositiveModel::ZeroPositiveModel(ZeroPositiveParams params)
-    : params_(params) {}
 
 void ZeroPositiveModel::fit(const std::vector<std::vector<double>>& good_rows,
                             std::vector<std::string> names) {
-  params_.validate();
   const std::size_t d = names.size();
   if (d == 0) zp_error("cannot fit on an empty feature schema");
   if (good_rows.size() < 4)
@@ -137,10 +116,10 @@ void ZeroPositiveModel::fit(const std::vector<std::vector<double>>& good_rows,
   // error on unseen good runs.
   std::vector<std::size_t> order(good_rows.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  util::Rng rng(params_.seed);
+  util::Rng rng(kSplitSeed);
   util::shuffle(order.begin(), order.end(), rng);
   std::size_t n_calib = static_cast<std::size_t>(
-      params_.calibration_fraction * static_cast<double>(order.size()));
+      kCalibrationFraction * static_cast<double>(order.size()));
   n_calib = std::max<std::size_t>(1, n_calib);
   n_calib = std::min(n_calib, order.size() - 2);  // keep >= 2 fit rows
   const std::size_t n_fit = order.size() - n_calib;
@@ -182,8 +161,8 @@ void ZeroPositiveModel::fit(const std::vector<std::vector<double>>& good_rows,
   std::vector<std::vector<double>> vectors;
   const std::vector<double> eigenvalues = jacobi_eigen(cov, vectors);
 
-  // Keep the smallest component set explaining `variance_captured` of the
-  // (clamped-positive) total, capped at max_components. Ties and order are
+  // Keep the smallest component set explaining kVarianceCaptured of the
+  // (clamped-positive) total, capped at kMaxComponents. Ties and order are
   // pinned: sort by (eigenvalue desc, index asc).
   std::vector<std::size_t> by_value(d);
   for (std::size_t i = 0; i < d; ++i) by_value[i] = i;
@@ -198,9 +177,9 @@ void ZeroPositiveModel::fit(const std::vector<std::vector<double>>& good_rows,
   components_.clear();
   double captured = 0.0;
   for (const std::size_t i : by_value) {
-    if (components_.size() >= params_.max_components) break;
+    if (components_.size() >= kMaxComponents) break;
     if (!components_.empty() &&
-        captured >= params_.variance_captured * total)
+        captured >= kVarianceCaptured * total)
       break;
     // Deterministic sign convention: first component of largest magnitude
     // is positive.
@@ -215,15 +194,11 @@ void ZeroPositiveModel::fit(const std::vector<std::vector<double>>& good_rows,
   }
   fitted_ = true;
 
-  // Calibrate the threshold on the held-out scores.
-  std::vector<double> errors;
-  errors.reserve(n_calib);
+  // Calibrate the threshold on the largest held-out score.
+  double max_error = 0.0;
   for (std::size_t r = n_fit; r < order.size(); ++r)
-    errors.push_back(score(good_rows[order[r]]));
-  std::sort(errors.begin(), errors.end());
-  threshold_ = std::max(
-      params_.threshold_margin * sorted_quantile(errors, params_.quantile),
-      1e-9);
+    max_error = std::max(max_error, score(good_rows[order[r]]));
+  threshold_ = std::max(kThresholdMargin * max_error, 1e-9);
 }
 
 double ZeroPositiveModel::score(std::span<const double> x) const {

@@ -10,18 +10,17 @@
 //    normalizer, with a relative floor so near-constant features still
 //    discriminate without exploding on rounding noise);
 //  * an autoencoder-lite PCA (Jacobi eigendecomposition of the normalized
-//    covariance) keeps the top components explaining `variance_captured` of
-//    the good-run variance; the anomaly score of a vector is its mean
+//    covariance) keeps the top components explaining 95% of the good-run
+//    variance, at most 8 of them; the anomaly score of a vector is its mean
 //    squared reconstruction residual after projecting onto that subspace;
-//  * the alarm threshold is calibrated on a seeded held-out split of the
-//    good rows: `threshold_margin` times the `quantile` of their scores —
-//    so the false-alarm budget on normal data is set by construction, not
-//    hand-tuned.
+//  * the alarm threshold is calibrated on a seeded held-out quarter of the
+//    good rows: twice the largest of their scores — so the false-alarm
+//    budget on normal data is set by construction, not hand-tuned.
 //
-// Everything is a pure function of (rows, params): the held-out split is
-// drawn with the library's pinned shuffle from `params.seed`, the
-// eigensolver is deterministic, and save/load round-trips scores
-// bit-identically through the versioned fsml-model container (ml/io.hpp).
+// Everything is a pure function of the rows: the held-out split is drawn
+// with the library's pinned shuffle from a fixed seed, the eigensolver is
+// deterministic, and save/load round-trips scores bit-identically through
+// the versioned fsml-model container (ml/io.hpp).
 //
 // Missing features (NaN slots from degraded measurement) impute the
 // good-run mean — a neutral value that biases toward "normal", matching the
@@ -36,36 +35,14 @@
 
 namespace fsml::ml {
 
-struct ZeroPositiveParams {
-  /// Fraction of good-run variance the kept PCA components must explain.
-  double variance_captured = 0.95;
-  /// Hard cap on kept components (the "bottleneck" width).
-  std::size_t max_components = 8;
-  /// Fraction of good rows held out for threshold calibration.
-  double calibration_fraction = 0.25;
-  /// Score quantile of the held-out rows used as the calibration point
-  /// (1.0 = their maximum).
-  double quantile = 1.0;
-  /// Safety factor applied on top of the calibration quantile.
-  double threshold_margin = 2.0;
-  /// Seed of the held-out split.
-  std::uint64_t seed = 42;
-
-  /// Throws std::runtime_error on out-of-range values.
-  void validate() const;
-};
-
 class ZeroPositiveModel {
  public:
-  explicit ZeroPositiveModel(ZeroPositiveParams params = {});
-
   /// Fits normalizer, components, and threshold on good-run feature rows.
   /// Requires at least 4 rows, all of `names.size()` finite values.
   void fit(const std::vector<std::vector<double>>& good_rows,
            std::vector<std::string> names);
 
   bool fitted() const { return fitted_; }
-  const ZeroPositiveParams& params() const { return params_; }
 
   /// Mean squared reconstruction residual per feature (z-space). NaN slots
   /// impute the good-run mean. Requires fitted().
@@ -93,7 +70,6 @@ class ZeroPositiveModel {
   static ZeroPositiveModel load_file(const std::string& path);
 
  private:
-  ZeroPositiveParams params_;
   std::vector<std::string> names_;
   std::vector<double> mean_;
   std::vector<double> inv_std_;

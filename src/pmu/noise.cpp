@@ -33,7 +33,6 @@ void NoiseConfig::validate() const {
     bad("drop_probability must be in [0, 1]");
   if (counters > kNumWestmereEvents)
     bad("counters must be 0 (unlimited) .. 16");
-  if (saturation_limit == 0) bad("saturation_limit must be positive");
 }
 
 std::size_t DegradedSnapshot::num_missing() const {
@@ -139,8 +138,8 @@ DegradedSnapshot MeasurementModel::degrade(
       out.counts.set(e, 0);
       continue;  // present stays false
     }
-    if (value >= config_.saturation_limit) {
-      out.counts.set(e, config_.saturation_limit);
+    if (value >= kSaturationLimit) {
+      out.counts.set(e, kSaturationLimit);
       out.saturated[i] = true;
       continue;  // pegged counter: detectably unusable, not silently wrong
     }

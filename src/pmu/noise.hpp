@@ -19,9 +19,9 @@
 //  * jitter: each observed count is multiplied by a uniform factor in
 //    [1-jitter, 1+jitter].
 //  * faults: an event is dropped (unreadable) with `drop_probability`, and
-//    any count that reaches `saturation_limit` pegs there and is flagged
-//    unusable (a saturated counter is detectably garbage, not silently
-//    wrong).
+//    any count that reaches kSaturationLimit (2^48) pegs there and is
+//    flagged unusable (a saturated counter is detectably garbage, not
+//    silently wrong).
 //
 // Everything is a pure function of (NoiseConfig::seed, measurement_id):
 // repeated measurements of the same run differ (fresh jitter/faults/rotation
@@ -44,6 +44,10 @@
 
 namespace fsml::pmu {
 
+/// Counts at or above this value peg and are flagged unusable: the width
+/// of a full Westmere counter, which clean simulated counts never reach.
+inline constexpr std::uint64_t kSaturationLimit = 1ULL << 48;
+
 struct NoiseConfig {
   /// Programmable counters available per multiplex group; 0 means "enough
   /// for all 16 events at once" (no multiplexing). Westmere has 4.
@@ -53,16 +57,7 @@ struct NoiseConfig {
   double jitter = 0.0;
   /// Probability that an event's count is unreadable for one measurement.
   double drop_probability = 0.0;
-  /// Counts at or above this value peg and are flagged unusable. The
-  /// default (2^48, a full-width Westmere counter) never triggers.
-  std::uint64_t saturation_limit = 1ULL << 48;
   std::uint64_t seed = 0;
-
-  /// True when any degradation can occur.
-  bool enabled() const {
-    return (counters > 0 && counters < kNumWestmereEvents) || jitter > 0.0 ||
-           drop_probability > 0.0 || saturation_limit < (1ULL << 48);
-  }
 
   /// Throws std::runtime_error on out-of-range parameters (jitter and
   /// drop_probability in [0,1], counters <= 16, NaN rejected).
@@ -94,8 +89,6 @@ struct DegradedSnapshot {
 class MeasurementModel {
  public:
   explicit MeasurementModel(NoiseConfig config);
-
-  const NoiseConfig& config() const { return config_; }
 
   /// Multiplex groups the 16 events are scheduled into (1 = no rotation).
   std::size_t num_groups() const { return num_groups_; }

@@ -1,35 +1,20 @@
 #include "serve/breaker.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "util/rng.hpp"
 
 namespace fsml::serve {
 
-void BreakerConfig::validate() const {
-  if (trip_after < 1 || trip_after > 1000)
-    throw std::runtime_error("BreakerConfig: trip_after must be 1..1000");
-  if (backoff_base_steps < 1 || backoff_cap_steps < backoff_base_steps)
-    throw std::runtime_error(
-        "BreakerConfig: need 1 <= backoff_base_steps <= backoff_cap_steps");
-}
-
-CircuitBreaker::CircuitBreaker(BreakerConfig config) : config_(config) {
-  config_.validate();
-}
-
 std::uint64_t CircuitBreaker::backoff_steps() const {
   // Decorrelated jitter in virtual steps, seeded by (seed, trip count) —
   // the same sleep policy par::Supervisor applies between retry attempts.
-  double ceiling = static_cast<double>(config_.backoff_base_steps);
+  double ceiling = static_cast<double>(kBackoffBaseSteps);
   for (int k = 1; k < trips_; ++k)
-    ceiling = std::min(ceiling * 3.0,
-                       static_cast<double>(config_.backoff_cap_steps));
-  util::SplitMix64 mix(config_.seed ^
-                       (static_cast<std::uint64_t>(trips_) << 24));
+    ceiling = std::min(ceiling * 3.0, static_cast<double>(kBackoffCapSteps));
+  util::SplitMix64 mix(seed_ ^ (static_cast<std::uint64_t>(trips_) << 24));
   const double u = static_cast<double>(mix.next() >> 11) * 0x1.0p-53;
-  const double base = static_cast<double>(config_.backoff_base_steps);
+  const double base = static_cast<double>(kBackoffBaseSteps);
   return static_cast<std::uint64_t>(base +
                                     u * std::max(0.0, ceiling - base));
 }
@@ -55,7 +40,7 @@ void CircuitBreaker::on_success() {
 
 void CircuitBreaker::on_failure(std::uint64_t step) {
   ++consecutive_faults_;
-  if (state_ == State::kHalfOpen || consecutive_faults_ >= config_.trip_after) {
+  if (state_ == State::kHalfOpen || consecutive_faults_ >= kTripAfter) {
     ++trips_;
     state_ = State::kOpen;
     reopen_step_ = step + backoff_steps();

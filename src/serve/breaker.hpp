@@ -2,7 +2,7 @@
 //
 // Repeated classification faults (injected throws in drills, genuine bugs
 // or resource exhaustion in production) must not let the service burn its
-// whole budget re-failing: after `trip_after` consecutive faults the
+// whole budget re-failing: after kTripAfter consecutive faults the
 // breaker opens and the server degrades to abstain-only verdicts. After a
 // backoff the breaker half-opens and admits a single probe; a successful
 // probe closes it, a failed probe re-opens it with a longer backoff.
@@ -18,26 +18,21 @@
 
 namespace fsml::serve {
 
-struct BreakerConfig {
-  /// Consecutive classify faults that open the breaker.
-  int trip_after = 3;
-  /// Decorrelated-jitter re-probe backoff, in virtual steps: trip k waits
-  /// uniform(base, min(cap, base * 3^(k-1))) steps before half-opening.
-  std::uint64_t backoff_base_steps = 4;
-  std::uint64_t backoff_cap_steps = 64;
-  std::uint64_t seed = 42;
-
-  /// Throws std::runtime_error on out-of-range values.
-  void validate() const;
-};
-
 class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
 
-  explicit CircuitBreaker(BreakerConfig config = {});
+  /// Consecutive classify faults that open the breaker.
+  static constexpr int kTripAfter = 3;
+  /// Decorrelated-jitter re-probe backoff, in virtual steps: trip k waits
+  /// uniform(base, min(cap, base * 3^(k-1))) steps before half-opening, so
+  /// the first trip re-probes after exactly kBackoffBaseSteps.
+  static constexpr std::uint64_t kBackoffBaseSteps = 4;
+  static constexpr std::uint64_t kBackoffCapSteps = 64;
 
-  const BreakerConfig& config() const { return config_; }
+  /// `seed` drives the backoff jitter.
+  explicit CircuitBreaker(std::uint64_t seed) : seed_(seed) {}
+
   State state() const { return state_; }
   bool open() const { return state_ != State::kClosed; }
   int trips() const { return trips_; }
@@ -49,7 +44,7 @@ class CircuitBreaker {
 
   /// Reports one classification outcome at `step`. A success closes the
   /// breaker; a failure increments the consecutive-fault count and, at
-  /// trip_after (or any half-open failure), opens it with the next backoff.
+  /// kTripAfter (or any half-open failure), opens it with the next backoff.
   void on_success();
   void on_failure(std::uint64_t step);
 
@@ -59,7 +54,7 @@ class CircuitBreaker {
  private:
   std::uint64_t backoff_steps() const;
 
-  BreakerConfig config_;
+  std::uint64_t seed_;
   State state_ = State::kClosed;
   int consecutive_faults_ = 0;
   int trips_ = 0;

@@ -20,6 +20,10 @@ namespace {
 
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
+/// Virtual steps between the burst boundaries every third client arrives
+/// on.
+constexpr std::uint64_t kBurstEverySteps = 8;
+
 /// Client patience: retry-afters a client takes on open / on one submit
 /// before it gives up.
 constexpr std::size_t kOpenRetries = 3;
@@ -102,9 +106,11 @@ void DrillConfig::validate() const {
     throw std::runtime_error("DrillConfig: sessions must be 1..100000, got " +
                              std::to_string(sessions));
   if (max_batches_per_session < 1 ||
-      max_batches_per_session > server.max_batches)
+      max_batches_per_session > kMaxBatchesPerSession)
     throw std::runtime_error(
-        "DrillConfig: max_batches_per_session must be 1..server.max_batches");
+        "DrillConfig: max_batches_per_session must be 1.." +
+        std::to_string(kMaxBatchesPerSession) + ", got " +
+        std::to_string(max_batches_per_session));
   if (arrival_spread_steps < 1)
     throw std::runtime_error(
         "DrillConfig: arrival_spread_steps must be >= 1");
@@ -160,8 +166,7 @@ DrillReport run_drill(const core::FalseSharingDetector& detector,
         (static_cast<std::uint64_t>(i) * config.arrival_spread_steps) /
         config.sessions;
     // Every third client arrives in a thundering herd on a burst boundary.
-    if (config.burst_every > 0 && i % 3 == 0)
-      plan.arrival_step -= plan.arrival_step % config.burst_every;
+    if (i % 3 == 0) plan.arrival_step -= plan.arrival_step % kBurstEverySteps;
     plan.malformed = u01(mix) < config.malformed_rate;
     plan.malformed_at = static_cast<std::size_t>(mix.next() % plan.batches);
     plan.malformed_variant = static_cast<int>(mix.next() % 4);

@@ -39,13 +39,12 @@ inline constexpr const char* kBenchServeSchema = "fsml-bench-serve-v3";
 struct DrillConfig {
   /// Client population.
   std::size_t sessions = 48;
-  /// Batches per session are drawn uniformly from 1..max_batches_per_session.
+  /// Batches per session are drawn uniformly from 1..max_batches_per_session
+  /// (at most kMaxBatchesPerSession).
   std::size_t max_batches_per_session = 5;
-  /// Session arrivals spread over this many virtual steps...
+  /// Session arrivals spread over this many virtual steps, except every
+  /// third session, which snaps down to the nearest 8-step burst boundary.
   std::uint64_t arrival_spread_steps = 64;
-  /// ...except every third session, which snaps down to the nearest
-  /// burst boundary (0 disables bursts).
-  std::uint64_t burst_every = 8;
   /// Batches the server processes per tick.
   std::size_t service_rate = 4;
   /// Probability a session's stream contains one malformed batch.

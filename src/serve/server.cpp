@@ -44,22 +44,6 @@ void ServeConfig::validate() const {
     throw std::runtime_error(
         "ServeConfig: max_sessions must be 1..16777216, got " +
         std::to_string(max_sessions));
-  if (max_batches < 1 || max_batches > 1001)
-    throw std::runtime_error(
-        "ServeConfig: max_batches must be 1..1001 (the vote policy's repeat "
-        "ceiling), got " +
-        std::to_string(max_batches));
-  if (max_retry_after < 1 || max_retry_after > 1000)
-    throw std::runtime_error(
-        "ServeConfig: max_retry_after must be 1..1000, got " +
-        std::to_string(max_retry_after));
-  if (!(shed_watermark > 0.0) || shed_watermark > 1.0 ||
-      !(abstain_watermark > 0.0) || abstain_watermark > 1.0 ||
-      abstain_watermark < shed_watermark)
-    throw std::runtime_error(
-        "ServeConfig: need 0 < shed_watermark <= abstain_watermark <= 1");
-  robust.validate();
-  breaker.validate();
 }
 
 std::string_view to_string(ServerState state) {
@@ -105,11 +89,7 @@ Server::Server(const core::FalseSharingDetector& detector,
       config_(validated(std::move(config))),
       injector_(injector),
       ring_(config_.queue_depth),
-      breaker_([&] {
-        BreakerConfig b = config_.breaker;
-        b.seed = config_.seed ^ 0x0b7ea4e5ULL;
-        return b;
-      }()) {
+      breaker_(config_.seed ^ 0x0b7ea4e5ULL) {
   FSML_CHECK_MSG(detector_.trained(),
                  "serve::Server needs a trained detector");
   par::SupervisorConfig super;
@@ -126,8 +106,8 @@ ServerState Server::state_locked() const {
   if (breaker_.open()) return ServerState::kAbstainOnly;
   const double occupancy = static_cast<double>(ring_.size()) /
                            static_cast<double>(ring_.capacity());
-  if (occupancy >= config_.abstain_watermark) return ServerState::kAbstainOnly;
-  if (occupancy >= config_.shed_watermark) return ServerState::kShedding;
+  if (occupancy >= kAbstainWatermark) return ServerState::kAbstainOnly;
+  if (occupancy >= kShedWatermark) return ServerState::kShedding;
   return ServerState::kHealthy;
 }
 
@@ -186,14 +166,14 @@ SubmitResult Server::submit(std::uint64_t id, const SampleBatch& batch,
 
   if (validated.status == BatchStatus::kUnusable) {
     // Honest-but-unclassifiable measurement: an empty vote, not an error.
-    if (info.measurements.size() < config_.max_batches) {
+    if (info.measurements.size() < kMaxBatchesPerSession) {
       info.measurements.emplace_back(std::nullopt);
       ++info.submitted;
     }
     return {Submit::kUnusable, 0, ""};
   }
 
-  if (info.submitted >= config_.max_batches)
+  if (info.submitted >= kMaxBatchesPerSession)
     return {Submit::kAccepted, 0, ""};  // vote is full; extra batches absorb
 
   const std::uint64_t sequence = info.submitted;
@@ -206,7 +186,7 @@ SubmitResult Server::submit(std::uint64_t id, const SampleBatch& batch,
     pushed = ring_.try_push({id, sequence, std::move(validated.features)});
   if (!pushed) {
     ++stats_.retry_afters;
-    if (++info.rejections > config_.max_retry_after) {
+    if (++info.rejections > kMaxRetryAfter) {
       // Persistent overflow: shed this session to an explicit abstention
       // rather than let it retry forever against a saturated queue.
       info.degraded = true;
@@ -266,7 +246,7 @@ void Server::finalize_locked(std::uint64_t id, SessionInfo& info,
 
 core::RobustVerdict Server::classify_session(const SessionInfo& info) const {
   if (info.measurements.empty()) return unknown_verdict(0);
-  core::RobustConfig vote = config_.robust;
+  core::RobustConfig vote;
   vote.repeats = static_cast<int>(info.measurements.size());
   return detector_.classify_robust(
       [&info](std::size_t r) { return info.measurements[r]; }, vote);
@@ -300,7 +280,7 @@ std::vector<SessionRecord> Server::tick_locked(std::uint64_t step,
     if (it == sessions_.end()) continue;  // quarantined/cancelled meanwhile
     SessionInfo& info = it->second;
     if (info.queued > 0) --info.queued;
-    if (info.measurements.size() < config_.max_batches)
+    if (info.measurements.size() < kMaxBatchesPerSession)
       info.measurements.emplace_back(std::move(item->features));
   }
 

@@ -9,10 +9,12 @@
 // an explicit `unknown` abstention — never a guess. Concretely:
 //
 //  * admission control + backpressure — the ring never grows: a full queue
-//    rejects the batch with a retry-after hint; a session rejected too
-//    often is shed to an explicit abstention instead of queueing forever;
+//    rejects the batch with a retry-after hint; a session rejected more
+//    than kMaxRetryAfter times in a row is shed to an explicit abstention
+//    instead of queueing forever;
 //  * load shedding — queue occupancy drives a degraded-mode state machine
-//    (healthy → shedding → abstain-only → draining): shedding degrades
+//    (healthy → shedding at kShedWatermark → abstain-only at
+//    kAbstainWatermark → draining): shedding degrades
 //    *new* sessions to abstention while protecting admitted work,
 //    abstain-only stops queueing entirely, draining finishes what is in
 //    flight and admits nothing;
@@ -58,26 +60,26 @@
 
 namespace fsml::serve {
 
+/// Batches one session may contribute to its vote.
+inline constexpr std::size_t kMaxBatchesPerSession = 32;
+/// Consecutive full-queue rejections one session tolerates before it is
+/// shed.
+inline constexpr std::size_t kMaxRetryAfter = 3;
+/// Queue occupancy fractions entering shedding / abstain-only.
+inline constexpr double kShedWatermark = 0.75;
+inline constexpr double kAbstainWatermark = 0.95;
+
 struct ServeConfig {
   /// Bounded ring capacity, in batches. The queue never grows past this.
   std::size_t queue_depth = 256;
   /// Concurrently open sessions; further opens get retry-after.
   std::size_t max_sessions = 1024;
-  /// Batches one session may contribute to its vote.
-  std::size_t max_batches = 32;
   /// Virtual steps from admission to forced finalization (0 = no deadline).
   std::uint64_t deadline_steps = 96;
   /// Virtual steps without client activity before an open session expires
   /// (0 = no idle timeout).
   std::uint64_t idle_timeout_steps = 24;
-  /// Full-queue rejections one session tolerates before it is shed.
-  std::size_t max_retry_after = 3;
-  /// Queue occupancy fractions entering shedding / abstain-only.
-  double shed_watermark = 0.75;
-  double abstain_watermark = 0.95;
-  /// Vote policy across a session's usable batches.
-  core::RobustConfig robust;
-  BreakerConfig breaker;
+  /// Seeds the circuit breaker's backoff jitter.
   std::uint64_t seed = 42;
 
   /// Throws std::runtime_error with an actionable message on out-of-range

@@ -139,8 +139,8 @@ TEST(FaultOverflow, SeedChangesTheDrawSet) {
   EXPECT_GT(differing, 0);
 }
 
-// Stalls and overflows must not perturb the existing throw/hang draws for
-// the same (site, key): each fault kind draws from its own salt namespace.
+// Stalls and overflows must not perturb the existing throw draws for the
+// same (site, key): each fault kind draws from its own salt namespace.
 TEST(FaultStalls, IndependentOfThrowDraws) {
   fault::FaultPlan with_stalls;
   with_stalls.seed = 11;

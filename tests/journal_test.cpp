@@ -5,6 +5,7 @@
 // TSan in CI alongside the supervisor tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -184,7 +185,10 @@ TEST_F(ResumeFiles, FaultedSweepQuarantinesOnlyTheFaultedCells) {
   core::TrainingConfig config = tiny_config();
   config.filter = false;  // survivors map 1:1 onto clean rows
 
+  const auto clean_start = std::chrono::steady_clock::now();
   const core::TrainingData clean = core::collect_training_data(config);
+  const auto clean_wall = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - clean_start);
 
   const trainers::MiniProgram& victim = *trainers::multithreaded_set()[0];
   const std::uint64_t size = victim.default_sizes()[0];
@@ -202,9 +206,12 @@ TEST_F(ResumeFiles, FaultedSweepQuarantinesOnlyTheFaultedCells) {
   core::CollectOptions options;
   options.injector = &injector;
   options.supervision.max_attempts = 2;
-  // Far above any legitimate reduced-config simulation, far below the
-  // suite timeout: only the injected hangs ever reach it.
-  options.supervision.deadline = std::chrono::milliseconds(2000);
+  // Only the injected hangs may reach the deadline. No legitimate cell can
+  // take longer than the whole clean sweep, so twice its wall time covers
+  // slow hosts and sanitizer builds; 2 s is the floor on fast ones. The
+  // hangs themselves give up only after FaultInjector::hang's 600 s cap.
+  options.supervision.deadline =
+      std::max(std::chrono::milliseconds(2000), 2 * clean_wall);
   options.supervision.backoff_base = std::chrono::milliseconds(0);
   options.supervision.backoff_cap = std::chrono::milliseconds(0);
   core::CollectReport report;

@@ -234,7 +234,7 @@ TEST(C45, LoadRejectsStructurallyInvalidTrees) {
     for (int c = 0; c < 3; ++c) line += c == cls ? " 4" : " 1";
     return line + " 2\n";
   };
-  std::string too_deep;  // a left spine 200 splits deep; max_depth is 64
+  std::string too_deep;  // a left spine 200 splits deep; kMaxDepth is 64
   for (int i = 0; i < 200; ++i) too_deep += "N 0 0.5\n";
   for (int i = 0; i <= 200; ++i) too_deep += leaf(0);
 
@@ -271,9 +271,8 @@ TEST(C45, SingleLeafTreeSurvivesSaveLoad) {
   EXPECT_EQ(loaded.num_nodes(), 1u);
   EXPECT_EQ(loaded.num_leaves(), 1u);
   const std::vector<double> nan = {ml::kMissingValue};
-  std::vector<double> scratch(2);
   EXPECT_EQ(loaded.predict(std::vector<double>{3.0}), 0);
-  EXPECT_EQ(loaded.predict(nan, scratch), 0);
+  EXPECT_EQ(loaded.predict(nan), 0);
   EXPECT_EQ(loaded.distribution(nan), tree.distribution(nan));
 }
 
@@ -287,9 +286,7 @@ TEST(C45, ShortFeatureVectorIsRejected) {
   ml::C45Tree tree;
   tree.train(three_class(40, rng));
   const std::vector<double> too_short(tree.attribute_names().size() - 1, 0.0);
-  std::vector<double> scratch(tree.class_names().size());
   EXPECT_THROW(tree.predict(too_short), util::CheckFailure);
-  EXPECT_THROW(tree.predict(too_short, scratch), util::CheckFailure);
   EXPECT_THROW(tree.distribution(too_short), util::CheckFailure);
 }
 
@@ -434,24 +431,15 @@ TEST(C45Missing, SaveLoadRoundTripKeepsMissingValuePredictions) {
   expect_same_answers(tree, loaded, d, 24);
 }
 
-TEST(C45Missing, CopyAndScratchPredictAreBitIdentical) {
+TEST(C45Missing, CopyAndPredictAreBitIdentical) {
   // A quarter of the training rows miss a value, so leaf counts are
-  // fractional. A copied tree must answer with the same bits, and the
-  // scratch-buffer predict() of the vote loop, reusing one stale buffer,
-  // must pick what the allocating predict() picks.
+  // fractional. A copied tree must answer with the same bits.
   util::Rng rng(15);
   const Dataset d = with_missing_values(three_class(80, rng), 0.25, rng);
   ml::C45Tree tree;
   tree.train(d);
   const ml::C45Tree copy(tree);
   expect_same_answers(tree, copy, d, 105);
-
-  std::vector<double> scratch(tree.class_names().size(), 99.0);
-  util::Rng probe(106);
-  for (int i = 0; i < 400; ++i) {
-    const std::vector<double> x = fuzz_vector(d, i, probe);
-    ASSERT_EQ(tree.predict(x, scratch), tree.predict(x)) << "vector " << i;
-  }
 }
 
 TEST(Dataset, TracksMissingAndValidatesWeights) {

@@ -35,7 +35,6 @@ serve::DrillConfig small_drill() {
   config.sessions = 18;
   config.max_batches_per_session = 3;
   config.arrival_spread_steps = 24;
-  config.burst_every = 6;
   config.service_rate = 3;
   config.seed = 42;
   config.server.queue_depth = 12;
@@ -151,7 +150,6 @@ TEST(ServeDrill, OverloadShedsInsteadOfGuessing) {
   config.server.deadline_steps = 24;  // and impatient
   config.service_rate = 1;
   config.arrival_spread_steps = 8;  // everyone arrives almost at once
-  config.burst_every = 8;
   const serve::DrillReport report =
       serve::run_drill(shared_detector(), shared_templates(), config);
   expect_contracts(report);
@@ -168,6 +166,12 @@ TEST(ServeDrill, ValidateRejectsBadConfig) {
   config.malformed_rate = 1.5;
   EXPECT_THROW(serve::run_drill(shared_detector(), shared_templates(), config),
                std::runtime_error);
+  // A session may not plan more batches than the server lets it vote.
+  config = small_drill();
+  config.max_batches_per_session = serve::kMaxBatchesPerSession + 1;
+  EXPECT_THROW(config.validate(), std::runtime_error);
+  config.max_batches_per_session = serve::kMaxBatchesPerSession;
+  EXPECT_NO_THROW(config.validate());
 }
 
 }  // namespace

@@ -189,21 +189,18 @@ TEST(ServeSession, PartialBatchYieldsNaNFeatureSlots) {
 
 // ---- circuit breaker -------------------------------------------------------
 
-serve::BreakerConfig breaker_config(int trip_after) {
-  serve::BreakerConfig config;
-  config.trip_after = trip_after;
-  config.backoff_base_steps = 4;
-  config.backoff_cap_steps = 16;
-  config.seed = 7;
-  return config;
+/// Trips a closed breaker with kTripAfter consecutive faults at `step`.
+void trip(serve::CircuitBreaker& breaker, std::uint64_t step) {
+  for (int k = 0; k < serve::CircuitBreaker::kTripAfter; ++k)
+    breaker.on_failure(step);
 }
 
 TEST(CircuitBreaker, TripsAfterConsecutiveFaults) {
-  serve::CircuitBreaker breaker(breaker_config(3));
+  serve::CircuitBreaker breaker(/*seed=*/7);
   EXPECT_TRUE(breaker.allow(0));
   breaker.on_failure(0);
   breaker.on_failure(1);
-  EXPECT_FALSE(breaker.open()) << "two faults must not trip trip_after=3";
+  EXPECT_FALSE(breaker.open()) << "two faults must not trip the breaker";
   breaker.on_failure(2);
   EXPECT_TRUE(breaker.open());
   EXPECT_EQ(breaker.trips(), 1);
@@ -211,7 +208,7 @@ TEST(CircuitBreaker, TripsAfterConsecutiveFaults) {
 }
 
 TEST(CircuitBreaker, SuccessResetsConsecutiveCount) {
-  serve::CircuitBreaker breaker(breaker_config(3));
+  serve::CircuitBreaker breaker(/*seed=*/7);
   breaker.on_failure(0);
   breaker.on_failure(1);
   breaker.on_success();
@@ -221,16 +218,18 @@ TEST(CircuitBreaker, SuccessResetsConsecutiveCount) {
 }
 
 TEST(CircuitBreaker, HalfOpenProbeClosesOnSuccessReopensOnFailure) {
-  serve::CircuitBreaker breaker(breaker_config(1));
-  breaker.on_failure(0);
+  serve::CircuitBreaker breaker(/*seed=*/7);
+  trip(breaker, 0);
   ASSERT_TRUE(breaker.open());
-  // The backoff is in [base, cap]; by base+cap steps it has surely elapsed.
-  ASSERT_TRUE(breaker.allow(100));
+  // The first trip re-probes after exactly the 4-step backoff base.
+  EXPECT_FALSE(breaker.allow(3));
+  ASSERT_TRUE(breaker.allow(4));
   EXPECT_EQ(breaker.state(), serve::CircuitBreaker::State::kHalfOpen);
   breaker.on_success();
   EXPECT_FALSE(breaker.open());
 
-  breaker.on_failure(200);
+  trip(breaker, 200);
+  // Later backoffs are in [base, cap]; by base+cap steps it has elapsed.
   ASSERT_TRUE(breaker.allow(300));
   breaker.on_failure(300);  // failed probe: reopen, longer backoff
   EXPECT_TRUE(breaker.open());
@@ -239,25 +238,15 @@ TEST(CircuitBreaker, HalfOpenProbeClosesOnSuccessReopensOnFailure) {
 }
 
 TEST(CircuitBreaker, BackoffScheduleIsDeterministic) {
-  serve::CircuitBreaker a(breaker_config(1));
-  serve::CircuitBreaker b(breaker_config(1));
+  serve::CircuitBreaker a(/*seed=*/7);
+  serve::CircuitBreaker b(/*seed=*/7);
   for (std::uint64_t step = 0; step < 200; step += 10) {
-    a.on_failure(step);
-    b.on_failure(step);
+    trip(a, step);
+    trip(b, step);
     for (std::uint64_t probe = step; probe < step + 10; ++probe)
       EXPECT_EQ(a.allow(probe), b.allow(probe)) << "step " << probe;
   }
   EXPECT_EQ(a.describe(), b.describe());
-}
-
-TEST(CircuitBreaker, ConfigValidateRejectsBadValues) {
-  serve::BreakerConfig config;
-  config.trip_after = 0;
-  EXPECT_THROW(serve::CircuitBreaker{config}, std::runtime_error);
-  config = {};
-  config.backoff_base_steps = 10;
-  config.backoff_cap_steps = 5;
-  EXPECT_THROW(serve::CircuitBreaker{config}, std::runtime_error);
 }
 
 // ---- Server state machine --------------------------------------------------
@@ -277,10 +266,8 @@ serve::ServeConfig small_config() {
   serve::ServeConfig config;
   config.queue_depth = 8;
   config.max_sessions = 4;
-  config.max_batches = 8;
   config.deadline_steps = 50;
   config.idle_timeout_steps = 20;
-  config.max_retry_after = 2;
   return config;
 }
 
@@ -288,11 +275,6 @@ TEST(ServeServer, ConfigValidateRejectsBadValues) {
   par::ThreadPool pool(1);
   serve::ServeConfig config = small_config();
   config.queue_depth = 0;
-  EXPECT_THROW(serve::Server(shared_detector(), pool, config),
-               std::runtime_error);
-  config = small_config();
-  config.shed_watermark = 0.9;
-  config.abstain_watermark = 0.5;  // must be >= shed
   EXPECT_THROW(serve::Server(shared_detector(), pool, config),
                std::runtime_error);
 }
@@ -386,9 +368,7 @@ TEST(ServeServer, CancelledSessionFinalizesWithCancelledRecord) {
 TEST(ServeServer, QueuePressureDegradesNewSessionsToShed) {
   par::ThreadPool pool(1);
   serve::ServeConfig config = small_config();
-  config.queue_depth = 4;
-  config.shed_watermark = 0.5;
-  config.abstain_watermark = 1.0;
+  config.queue_depth = 4;  // 3 of 4 slots is exactly the 0.75 watermark
   serve::Server server(shared_detector(), pool, config);
   ASSERT_EQ(server.open_session(1, 0).admission, serve::Admission::kAdmitted);
   for (std::uint64_t j = 0; j < 3; ++j)
@@ -412,22 +392,23 @@ TEST(ServeServer, PersistentOverflowShedsTheSession) {
   par::ThreadPool pool(1);
   serve::ServeConfig config = small_config();
   config.queue_depth = 1;
-  config.max_retry_after = 1;
-  config.shed_watermark = 1.0;
-  config.abstain_watermark = 1.0;
   serve::Server server(shared_detector(), pool, config);
   ASSERT_EQ(server.open_session(1, 0).admission, serve::Admission::kAdmitted);
   ASSERT_EQ(server.submit(1, full_batch(), 1).status, serve::Submit::kAccepted);
   const serve::SubmitResult first = server.submit(1, full_batch(), 1);
   EXPECT_EQ(first.status, serve::Submit::kRetryAfter);
   EXPECT_GT(first.retry_after_steps, 0u);
-  EXPECT_EQ(server.submit(1, full_batch(), 2).status,
-            serve::Submit::kRetryAfter);  // beyond max_retry_after: shed
-  server.close_session(1, 3);
-  const auto records = server.drain(4, 4);
+  for (std::uint64_t step = 2; step <= serve::kMaxRetryAfter; ++step)
+    EXPECT_EQ(server.submit(1, full_batch(), step).status,
+              serve::Submit::kRetryAfter);
+  // One rejection beyond kMaxRetryAfter sheds the session.
+  EXPECT_EQ(server.submit(1, full_batch(), serve::kMaxRetryAfter + 1).status,
+            serve::Submit::kRetryAfter);
+  server.close_session(1, serve::kMaxRetryAfter + 2);
+  const auto records = server.drain(serve::kMaxRetryAfter + 3, 4);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].outcome, serve::Outcome::kShed);
-  EXPECT_GE(server.snapshot().retry_afters, 2u);
+  EXPECT_GE(server.snapshot().retry_afters, serve::kMaxRetryAfter + 1);
 }
 
 TEST(ServeServer, ClassifyFaultsTripBreakerIntoAbstainOnly) {
@@ -437,30 +418,28 @@ TEST(ServeServer, ClassifyFaultsTripBreakerIntoAbstainOnly) {
   plan.throw_rate = 1.0;    // every classify attempt throws...
   plan.throw_attempts = 10;  // ...on all supervised retries
   const fault::FaultInjector injector(plan);
-  serve::ServeConfig config = small_config();
-  config.breaker.trip_after = 2;
-  config.breaker.backoff_base_steps = 100;  // stays open for the whole test
-  config.breaker.backoff_cap_steps = 100;
-  serve::Server server(shared_detector(), pool, config, &injector);
+  serve::Server server(shared_detector(), pool, small_config(), &injector);
 
+  // One session per step: the breaker trips on the third fault and stays
+  // open for its 4-step first backoff, so the fourth session meets it.
   std::vector<serve::SessionRecord> records;
-  for (std::uint64_t id = 1; id <= 3; ++id) {
+  for (std::uint64_t id = 1; id <= 4; ++id) {
     // The breaker never *blocks* admission — once it is open, new sessions
     // are admitted degraded (destined for an explicit shed abstention).
-    const serve::Admission admission =
-        server.open_session(id, id * 10).admission;
+    const serve::Admission admission = server.open_session(id, id).admission;
     ASSERT_TRUE(admission == serve::Admission::kAdmitted ||
                 admission == serve::Admission::kDegraded);
-    server.submit(id, full_batch(), id * 10);
-    server.close_session(id, id * 10 + 1);
-    auto out = server.tick(id * 10 + 2, 4);
+    server.submit(id, full_batch(), id);
+    server.close_session(id, id);
+    auto out = server.tick(id, 4);
     records.insert(records.end(), out.begin(), out.end());
   }
-  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records[0].outcome, serve::Outcome::kAbstained);
   EXPECT_EQ(records[1].outcome, serve::Outcome::kAbstained);
-  // By the third session the breaker (trip_after=2) is open: abstain-only.
-  EXPECT_EQ(records[2].outcome, serve::Outcome::kShed);
+  EXPECT_EQ(records[2].outcome, serve::Outcome::kAbstained);
+  // By the fourth session the breaker (3 faults) is open: abstain-only.
+  EXPECT_EQ(records[3].outcome, serve::Outcome::kShed);
   const serve::HealthSnapshot health = server.snapshot();
   EXPECT_TRUE(health.breaker_open);
   EXPECT_EQ(health.state, serve::ServerState::kAbstainOnly);

@@ -265,7 +265,7 @@ TEST(Fault, InertByDefault) {
   fault::FaultInjector injector;
   EXPECT_FALSE(injector.plan().any());
   EXPECT_NO_THROW(injector.maybe_throw("site", "key", 1));
-  EXPECT_FALSE(injector.should_hang("site", "key", 1));
+  EXPECT_FALSE(injector.should_hang("key"));
   for (int i = 0; i < 1000; ++i) EXPECT_NO_THROW(injector.count_completion());
   EXPECT_EQ(injector.corrupt("hello"), "hello");
 }
@@ -308,11 +308,8 @@ TEST(Fault, HangKeysHangOnEveryAttempt) {
   fault::FaultPlan plan;
   plan.hang_keys = {"prog/64/3/good/linear/0"};
   const fault::FaultInjector injector(plan);
-  EXPECT_TRUE(injector.should_hang("collect.run",
-                                   "prog/64/3/good/linear/0", 1));
-  EXPECT_TRUE(injector.should_hang("collect.run",
-                                   "prog/64/3/good/linear/0", 5));
-  EXPECT_FALSE(injector.should_hang("collect.run", "other", 1));
+  EXPECT_TRUE(injector.should_hang("prog/64/3/good/linear/0"));
+  EXPECT_FALSE(injector.should_hang("other"));
 }
 
 TEST(Fault, HangUnwindsWhenTokenCancelled) {

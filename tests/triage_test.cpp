@@ -1,4 +1,4 @@
-// Tests for the second-stage alarm triage: fusion-weight validation, the
+// Tests for the second-stage alarm triage: demotion-cutoff validation, the
 // priority computation pinned against hand-computed fixtures, demotion of
 // low-credibility alarms to `unknown`, the anomaly/phase terms, and the
 // two-stage sweep harness (including the acceptance bar: triage keeps zero
@@ -68,29 +68,15 @@ core::TriageConfig harness_config() {
   return config;
 }
 
-TEST(TriageWeights, Validate) {
-  const auto invalid = [](auto mutate) {
-    core::TriageWeights weights;
-    mutate(weights);
-    weights.validate();
-  };
-  EXPECT_NO_THROW(core::TriageWeights{}.validate());
-  EXPECT_THROW(invalid([](core::TriageWeights& w) { w.anomaly = -0.1; }),
-               std::runtime_error);
-  EXPECT_THROW(invalid([](core::TriageWeights& w) {
-                 w.tree_confidence = w.anomaly = w.phase = w.metadata = 0.0;
-               }),
-               std::runtime_error);
-  EXPECT_THROW(invalid([](core::TriageWeights& w) { w.demote_below = 1.5; }),
-               std::runtime_error);
-  EXPECT_THROW(invalid([](core::TriageWeights& w) {
-                 w.phase = std::nan("");
-               }),
-               std::runtime_error);
-  // The constructor validates too.
-  core::TriageWeights bad;
-  bad.metadata = -1.0;
-  EXPECT_THROW(core::TriageStage{bad}, std::runtime_error);
+TEST(TriageConfig, DemoteBelowMustBeInUnitRange) {
+  EXPECT_NO_THROW(core::TriageStage{});
+  EXPECT_NO_THROW(harness_config().validate());
+  for (const double cutoff : {-0.1, 1.5, std::nan("")}) {
+    EXPECT_THROW(core::TriageStage{cutoff}, std::runtime_error) << cutoff;
+    core::TriageConfig config = harness_config();
+    config.demote_below = cutoff;
+    EXPECT_THROW(config.validate(), std::runtime_error) << cutoff;
+  }
 }
 
 TEST(Triage, PriorityMatchesHandComputedFixture) {
@@ -144,12 +130,10 @@ TEST(Triage, LowPriorityAlarmDemotesToUnknown) {
   EXPECT_NE(alarm.to_string().find("demoted to unknown"), std::string::npos);
 
   // A higher cutoff demotes the 0.625 fixture alarm too.
-  core::TriageWeights strict;
-  strict.demote_below = 0.7;
   context.threads = 8;
   context.hitm_remote_ratio = 0.4;
   context.dram_remote_ratio = 0.2;
-  const core::TriagedAlarm strict_alarm = core::TriageStage(strict).triage(
+  const core::TriagedAlarm strict_alarm = core::TriageStage(0.7).triage(
       verdict_of(Mode::kBadFs, 0.8), {}, context);
   EXPECT_TRUE(strict_alarm.demoted);
 }
@@ -285,8 +269,8 @@ TEST(TriageHarness, TriageOnlyEverRemovesAlarms) {
 }
 
 TEST(TriageHarness, StageOneMatchesRobustnessCellForCell) {
-  // Both harnesses seed each grid cell with core::point_seed, so stage 1 of
-  // a triage sweep is the robustness sweep at the same seed, cell for cell.
+  // Both reports score one sweep (core::sweep_noise_grid), so stage 1 of a
+  // triage sweep is the robustness sweep at the same seed, cell for cell.
   core::TriageConfig config = harness_config();
   config.sweep.jitters = {0.0, 0.3};
   config.sweep.counter_groups = {2};

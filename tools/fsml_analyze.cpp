@@ -385,11 +385,11 @@ ml::ZeroPositiveModel load_or_fit_anomaly(const util::Cli& cli) {
 int cmd_triage(const util::Cli& cli) {
   core::TriageConfig config;
   config.sweep = sweep_config_from_cli(cli);
-  config.weights.demote_below =
-      cli.get_double_in("demote-below", config.weights.demote_below, 0.0, 1.0);
+  config.demote_below =
+      cli.get_double_in("demote-below", config.demote_below, 0.0, 1.0);
 
   const core::FalseSharingDetector detector = load_or_train(cli);
-  core::TriageStage stage(config.weights);
+  core::TriageStage stage(config.demote_below);
   stage.set_anomaly_model(load_or_fit_anomaly(cli));
 
   const core::TriageReport report =
