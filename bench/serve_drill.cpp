@@ -41,89 +41,6 @@
 
 using namespace fsml;
 
-namespace {
-
-struct Scenario {
-  std::string name;
-  serve::DrillConfig config;
-};
-
-/// The drill battery. Every scenario shares the population/seed defaults
-/// and turns on one storm axis; "everything" turns them all on at once and
-/// "classify_saturation" floods the service with well-formed work so the
-/// classify stage, not admission or the queue, is the bottleneck.
-std::vector<Scenario> make_scenarios(std::size_t sessions,
-                                     std::uint64_t seed) {
-  serve::DrillConfig base;
-  base.sessions = sessions;
-  base.seed = seed;
-  base.server.seed = seed;
-  base.server.queue_depth = 24;  // small enough that bursts actually shed
-  base.service_rate = 4;
-
-  std::vector<Scenario> out;
-
-  out.push_back({"baseline_burst", base});
-
-  Scenario stalls{"slow_clients_laggy_dequeue", base};
-  stalls.config.faults.seed = seed;
-  stalls.config.faults.stall_rate = 0.3;
-  stalls.config.faults.stall_steps = 6;
-  out.push_back(stalls);
-
-  Scenario malformed{"malformed_streams", base};
-  malformed.config.malformed_rate = 0.35;
-  out.push_back(malformed);
-
-  Scenario overflow{"queue_overflow", base};
-  overflow.config.faults.seed = seed;
-  overflow.config.faults.overflow_rate = 0.4;
-  overflow.config.service_rate = 2;
-  out.push_back(overflow);
-
-  Scenario faults{"classify_throws", base};
-  faults.config.faults.seed = seed;
-  faults.config.faults.throw_rate = 0.5;
-  faults.config.faults.throw_attempts = 3;  // outlasts the 2 retry attempts
-  out.push_back(faults);
-
-  Scenario cancel{"mid_drill_cancellation", base};
-  cancel.config.cancel_rate = 0.3;
-  cancel.config.cancel_step = 3;
-  out.push_back(cancel);
-
-  Scenario everything{"combined_chaos", base};
-  everything.config.faults.seed = seed;
-  everything.config.faults.stall_rate = 0.2;
-  everything.config.faults.stall_steps = 4;
-  everything.config.faults.overflow_rate = 0.15;
-  everything.config.faults.throw_rate = 0.25;
-  everything.config.faults.throw_attempts = 3;
-  everything.config.malformed_rate = 0.2;
-  everything.config.cancel_rate = 0.15;
-  everything.config.cancel_step = 5;
-  everything.config.service_rate = 3;
-  out.push_back(everything);
-
-  // Classify saturation: 4x the population, deep sessions, a queue and
-  // service rate generous enough that nothing sheds — every batch reaches
-  // the classify stage, which becomes the only place time can go.
-  Scenario saturation{"classify_saturation", base};
-  saturation.config.sessions = sessions * 4;
-  saturation.config.max_batches_per_session = 16;
-  saturation.config.arrival_spread_steps = 32;
-  saturation.config.service_rate = 32;
-  saturation.config.server.queue_depth = 256;
-  saturation.config.server.max_sessions = std::max<std::size_t>(
-      saturation.config.sessions + 1, 1024);
-  saturation.config.server.deadline_steps = 384;
-  out.push_back(saturation);
-
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   try {
     const util::Cli cli(argc, argv);
@@ -164,7 +81,8 @@ int main(int argc, char** argv) {
     json += "  \"scenarios\": [\n";
 
     bool first = true;
-    for (const Scenario& scenario : make_scenarios(sessions, seed)) {
+    for (const serve::DrillScenario& scenario :
+         serve::drill_battery(sessions, seed)) {
       serve::DrillConfig config = scenario.config;
       config.jobs = jobs;
       std::fprintf(stderr, "drill %s (jobs=%zu)...\n", scenario.name.c_str(),

@@ -2,8 +2,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "ml/io.hpp"
@@ -21,16 +21,18 @@ void RobustConfig::validate() const {
 }
 
 std::string RobustVerdict::to_string() const {
-  std::ostringstream os;
+  // %g is the format an ostream gives a double by default.
+  char text[128];
   if (known) {
-    os << trainers::to_string(mode) << " (confidence " << confidence << ", "
-       << votes[static_cast<std::size_t>(label_of(mode))] << '/' << repeats
-       << " runs)";
+    const std::string_view name = trainers::to_string(mode);
+    std::snprintf(text, sizeof text, "%.*s (confidence %g, %zu/%zu runs)",
+                  static_cast<int>(name.size()), name.data(), confidence,
+                  votes[static_cast<std::size_t>(label_of(mode))], repeats);
   } else {
-    os << "unknown (" << classified << '/' << repeats
-       << " runs classified)";
+    std::snprintf(text, sizeof text, "unknown (%zu/%zu runs classified)",
+                  classified, repeats);
   }
-  return os.str();
+  return text;
 }
 
 namespace {

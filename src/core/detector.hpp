@@ -66,7 +66,7 @@ struct RobustVerdict {
   std::size_t classified = 0;   ///< measurements that yielded a verdict
   std::array<std::size_t, 3> votes{};  ///< by class index (labels.hpp)
 
-  /// "good (confidence 0.80, 4/5 runs)" or "unknown (3/5 runs classified)".
+  /// "good (confidence 0.8, 4/5 runs)" or "unknown (3/5 runs classified)".
   std::string to_string() const;
 };
 

@@ -108,6 +108,22 @@ struct DrillReport {
                   const DrillConfig& config) const;
 };
 
+/// One named scenario of the drill battery.
+struct DrillScenario {
+  std::string name;
+  DrillConfig config;
+};
+
+/// The battery bench/serve_drill runs, `sessions` clients each (the last
+/// scenario plays 4x that). Every scenario shares the population and seed
+/// and turns on one storm axis: baseline_burst, slow_clients_laggy_dequeue,
+/// malformed_streams, queue_overflow, classify_throws,
+/// mid_drill_cancellation; combined_chaos turns them all on at once, and
+/// classify_saturation floods the service with well-formed work so the
+/// classify stage, not admission or the queue, is the bottleneck.
+std::vector<DrillScenario> drill_battery(std::size_t sessions,
+                                         std::uint64_t seed);
+
 /// Simulates the ground-truth template runs a drill samples payloads from.
 /// Thin wrapper over core::simulate_evaluation_runs (reduced set) so
 /// benches can share one template set across scenarios.

@@ -88,6 +88,10 @@ Server::Server(const core::FalseSharingDetector& detector,
       pool_(pool),
       config_(validated(std::move(config))),
       injector_(injector),
+      deadline_detail_("deadline: no verdict within " +
+                       std::to_string(config_.deadline_steps) + " steps"),
+      idle_detail_("idle: no client activity for " +
+                   std::to_string(config_.idle_timeout_steps) + " steps"),
       ring_(config_.queue_depth),
       breaker_(config_.seed ^ 0x0b7ea4e5ULL) {
   FSML_CHECK_MSG(detector_.trained(),
@@ -117,6 +121,32 @@ std::uint64_t Server::retry_hint_locked() const {
   return std::max<std::uint64_t>(1, config_.deadline_steps / 8);
 }
 
+Server::Expiry Server::expiry_of(const SessionInfo& info,
+                                 std::uint64_t step) const {
+  if (info.cancelled) return Expiry::kCancelled;
+  if (config_.deadline_steps > 0 &&
+      step >= info.opened_step + config_.deadline_steps)
+    return Expiry::kDeadline;
+  if (config_.idle_timeout_steps > 0 && !info.closed &&
+      step >= info.last_step + config_.idle_timeout_steps)
+    return Expiry::kIdle;
+  return Expiry::kNone;
+}
+
+std::uint64_t Server::wake_of(const SessionInfo& info) const {
+  std::uint64_t wake = kNoWake;
+  if (config_.deadline_steps > 0)
+    wake = info.opened_step + config_.deadline_steps;
+  if (config_.idle_timeout_steps > 0 && !info.closed)
+    wake = std::min(wake, info.last_step + config_.idle_timeout_steps);
+  return wake;
+}
+
+void Server::arm_locked(std::uint64_t id, SessionInfo& info) {
+  info.wake = wake_of(info);
+  if (info.wake != kNoWake) wakeups_.push({info.wake, id});
+}
+
 AdmitResult Server::open_session(std::uint64_t id, std::uint64_t step) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (draining_) return {Admission::kClosed, 0};
@@ -130,7 +160,7 @@ AdmitResult Server::open_session(std::uint64_t id, std::uint64_t step) {
   info.opened_step = step;
   info.last_step = step;
   info.degraded = state != ServerState::kHealthy;
-  sessions_.emplace(id, std::move(info));
+  arm_locked(id, sessions_.emplace(id, std::move(info)).first->second);
   ++stats_.admitted;
   if (state != ServerState::kHealthy) {
     ++stats_.degraded_admissions;
@@ -161,7 +191,7 @@ SubmitResult Server::submit(std::uint64_t id, const SampleBatch& batch,
   // Degraded, closed, or cancelled sessions absorb batches without
   // queueing: their terminal record is already determined, and the queue
   // capacity belongs to sessions that can still earn a verdict.
-  if (info.degraded || info.closed || info.token.cancelled() || draining_)
+  if (info.degraded || info.closed || info.cancelled || draining_)
     return {Submit::kAccepted, 0, ""};
 
   if (validated.status == BatchStatus::kUnusable) {
@@ -204,14 +234,18 @@ void Server::close_session(std::uint64_t id, std::uint64_t step) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
-  it->second.closed = true;
-  it->second.last_step = std::max(it->second.last_step, step);
+  SessionInfo& info = it->second;
+  info.closed = true;
+  info.last_step = std::max(info.last_step, step);
+  if (info.queued == 0) ready_.insert(id);
 }
 
 void Server::cancel_session(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = sessions_.find(id);
-  if (it != sessions_.end()) it->second.token.cancel();
+  if (it == sessions_.end() || it->second.cancelled) return;
+  it->second.cancelled = true;
+  cancelled_.push_back(id);
 }
 
 void Server::finalize_locked(std::uint64_t id, SessionInfo& info,
@@ -241,6 +275,7 @@ void Server::finalize_locked(std::uint64_t id, SessionInfo& info,
     case Outcome::kExpired: ++stats_.expired; break;
     case Outcome::kCancelled: ++stats_.cancelled; break;
   }
+  ready_.erase(id);
   sessions_.erase(id);
 }
 
@@ -251,6 +286,45 @@ core::RobustVerdict Server::classify_session(const SessionInfo& info) const {
   return detector_.classify_robust(
       [&info](std::size_t r) { return info.measurements[r]; }, vote);
 }
+
+std::vector<std::uint64_t> Server::expiry_candidates_locked(
+    std::uint64_t step) {
+  std::vector<std::uint64_t> ids = std::move(cancelled_);
+  cancelled_.clear();
+  while (!wakeups_.empty() && wakeups_.top().step <= step) {
+    const Wakeup due = wakeups_.top();
+    wakeups_.pop();
+    const auto it = sessions_.find(due.id);
+    // Stale: the session finalized (its id may since have been reopened).
+    if (it == sessions_.end() || it->second.wake != due.step) continue;
+    it->second.wake = kNoWake;
+    ids.push_back(due.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+#ifndef NDEBUG
+std::vector<std::pair<std::uint64_t, Server::Expiry>>
+Server::scan_expired_locked(std::uint64_t step) const {
+  std::vector<std::pair<std::uint64_t, Expiry>> out;
+  for (const auto& [id, info] : sessions_) {
+    const Expiry why = expiry_of(info, step);
+    if (why != Expiry::kNone) out.emplace_back(id, why);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::uint64_t> Server::scan_ready_locked() const {
+  std::vector<std::uint64_t> out;
+  for (const auto& [id, info] : sessions_)
+    if (info.closed && info.queued == 0) out.push_back(id);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+#endif
 
 std::vector<SessionRecord> Server::tick(std::uint64_t step,
                                         std::size_t service_rate) {
@@ -282,47 +356,43 @@ std::vector<SessionRecord> Server::tick_locked(std::uint64_t step,
     if (info.queued > 0) --info.queued;
     if (info.measurements.size() < kMaxBatchesPerSession)
       info.measurements.emplace_back(std::move(item->features));
+    if (info.closed && info.queued == 0) ready_.insert(item->session);
   }
 
   // Expiry phase, in ascending id order: cancellations, deadlines, idle
-  // timeouts. Each produces an explicit record — never a silent drop.
-  std::vector<std::uint64_t> expired_ids;
-  std::vector<std::string> expired_reasons;
-  std::vector<Outcome> expired_outcomes;
-  for (const auto& [id, info] : sessions_) {
-    if (info.token.cancelled()) {
-      expired_ids.push_back(id);
-      expired_reasons.emplace_back("cancelled mid-flight");
-      expired_outcomes.push_back(Outcome::kCancelled);
-    } else if (config_.deadline_steps > 0 &&
-               step >= info.opened_step + config_.deadline_steps) {
-      expired_ids.push_back(id);
-      expired_reasons.emplace_back(
-          "deadline: no verdict within " +
-          std::to_string(config_.deadline_steps) + " steps");
-      expired_outcomes.push_back(Outcome::kExpired);
-    } else if (config_.idle_timeout_steps > 0 && !info.closed &&
-               step >= info.last_step + config_.idle_timeout_steps) {
-      expired_ids.push_back(id);
-      expired_reasons.emplace_back(
-          "idle: no client activity for " +
-          std::to_string(config_.idle_timeout_steps) + " steps");
-      expired_outcomes.push_back(Outcome::kExpired);
-    }
+  // timeouts. Each produces an explicit record — never a silent drop. A
+  // candidate whose client was active since its wake-up is re-armed.
+  std::vector<std::pair<std::uint64_t, Expiry>> expired;
+  for (const std::uint64_t id : expiry_candidates_locked(step)) {
+    const auto it = sessions_.find(id);
+    if (it == sessions_.end()) continue;  // finalized since its cancel
+    SessionInfo& info = it->second;
+    const Expiry why = expiry_of(info, step);
+    if (why != Expiry::kNone)
+      expired.emplace_back(id, why);
+    else if (info.wake == kNoWake)
+      arm_locked(id, info);
   }
-  for (std::size_t k = 0; k < expired_ids.size(); ++k) {
-    SessionInfo& info = sessions_.at(expired_ids[k]);
-    finalize_locked(expired_ids[k], info, expired_outcomes[k],
-                    unknown_verdict(info.measurements.size()),
-                    std::move(expired_reasons[k]), step, records);
+  FSML_DCHECK(expired == scan_expired_locked(step));
+  for (const auto& [id, why] : expired) {
+    SessionInfo& info = sessions_.at(id);
+    if (why == Expiry::kCancelled)
+      finalize_locked(id, info, Outcome::kCancelled,
+                      unknown_verdict(info.measurements.size()),
+                      "cancelled mid-flight", step, records);
+    else
+      finalize_locked(id, info, Outcome::kExpired,
+                      unknown_verdict(info.measurements.size()),
+                      why == Expiry::kDeadline ? deadline_detail_
+                                               : idle_detail_,
+                      step, records);
   }
 
   // Ready phase: sessions whose client closed and whose queued batches are
   // all processed. Degraded (shed) sessions finalize to an explicit
   // abstention; the rest classify on the pool under supervision.
-  std::vector<std::uint64_t> ready;
-  for (const auto& [id, info] : sessions_)
-    if (info.closed && info.queued == 0) ready.push_back(id);
+  const std::vector<std::uint64_t> ready(ready_.begin(), ready_.end());
+  FSML_DCHECK(ready == scan_ready_locked());
   std::vector<std::uint64_t> to_classify;
   for (const std::uint64_t id : ready) {
     SessionInfo& info = sessions_.at(id);
@@ -409,8 +479,8 @@ std::vector<SessionRecord> Server::drain(std::uint64_t step,
   std::lock_guard<std::mutex> lock(mutex_);
   draining_ = true;
   for (auto& [id, info] : sessions_) {
-    (void)id;
     info.closed = true;
+    if (info.queued == 0) ready_.insert(id);
   }
   std::vector<SessionRecord> records;
   const std::size_t rate = std::max<std::size_t>(service_rate, 1);

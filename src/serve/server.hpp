@@ -19,14 +19,33 @@
 //    abstain-only stops queueing entirely, draining finishes what is in
 //    flight and admits nothing;
 //  * deadlines — per-session deadline and idle timeouts measured in the
-//    caller's virtual steps, plus a per-session CancelToken (the PR 3
-//    machinery) for mid-flight cancellation;
+//    caller's virtual steps, plus mid-flight cancellation (cancel_session);
 //  * validation — strict per-batch schema checks (serve/session.hpp):
 //    malformed streams quarantine their session, never the server;
 //  * fault containment — classification runs under a par::Supervisor
 //    (bounded retries, optional watchdog deadline); repeated classify
 //    faults trip a CircuitBreaker whose decorrelated-jitter re-probe
 //    schedule degrades the server to abstain-only while open.
+//
+// A tick does work in proportion to the sessions that can change state at
+// its step, not to the sessions that are open. Three indexes, kept current
+// by every entry point, find that work:
+//
+//  * a min-heap of wake-ups — one entry per open session, at the earliest
+//    step its deadline or idle timeout could fire. Client activity only
+//    moves that step later, so entries are re-armed lazily: a popped entry
+//    whose client was active since goes back in at the new step, and an
+//    entry whose session already finalized is dropped;
+//  * the ids cancelled since the last tick;
+//  * an ordered set of ready sessions (closed, nothing queued).
+//
+// The expiry phase sorts the popped and cancelled ids and re-checks each
+// with the exact conditions and priority a full scan would apply
+// (cancelled, then deadline, then idle); the ready phase walks the ready
+// set in id order. A tick therefore costs O((due + cancelled + ready) log
+// open) rather than two walks over every open session, and produces the
+// same records, in the same order, at the same steps. Debug builds re-run
+// the full scans and check that they agree with the indexes.
 //
 // Time is virtual: every entry point takes a monotonically non-decreasing
 // `step` chosen by the caller (a drill's event loop, or wall milliseconds
@@ -43,11 +62,16 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <queue>
+#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -208,18 +232,34 @@ class Server {
   HealthSnapshot snapshot() const;
 
  private:
+  /// No live wake-up entry: the session can neither hit a deadline nor go
+  /// idle, or the expiry phase has just popped its entry.
+  static constexpr std::uint64_t kNoWake =
+      std::numeric_limits<std::uint64_t>::max();
+
   struct SessionInfo {
     std::uint64_t opened_step = 0;
     std::uint64_t last_step = 0;
+    /// Step of this session's live entry in wakeups_, or kNoWake.
+    std::uint64_t wake = kNoWake;
     /// Processed measurements; nullopt = honest-but-unusable batch.
     std::vector<std::optional<pmu::FeatureVector>> measurements;
     std::size_t queued = 0;      ///< batches accepted, not yet processed
     std::size_t submitted = 0;   ///< batches accepted overall
     std::size_t rejections = 0;  ///< consecutive full-queue rejections
     bool closed = false;
-    bool degraded = false;  ///< admitted under shedding/abstain-only
-    /// Mid-flight cancellation signal (cancel_session flips it).
-    par::CancelToken token;
+    bool degraded = false;   ///< admitted under shedding/abstain-only
+    bool cancelled = false;  ///< cancel_session was called
+  };
+
+  /// Why the expiry phase ends a session, in the order it checks.
+  enum class Expiry : std::uint8_t { kNone, kCancelled, kDeadline, kIdle };
+
+  /// The earliest step at which session `id` could expire.
+  struct Wakeup {
+    std::uint64_t step = 0;
+    std::uint64_t id = 0;
+    bool operator>(const Wakeup& other) const { return step > other.step; }
   };
 
   struct QueuedBatch {
@@ -230,6 +270,20 @@ class Server {
 
   ServerState state_locked() const;
   std::uint64_t retry_hint_locked() const;
+  Expiry expiry_of(const SessionInfo& info, std::uint64_t step) const;
+  std::uint64_t wake_of(const SessionInfo& info) const;
+  /// Pushes the session's wake-up at wake_of(info), if it has one.
+  void arm_locked(std::uint64_t id, SessionInfo& info);
+  /// Pops the due wake-ups and takes the cancellations: the ascending,
+  /// distinct ids that may expire at `step` (a cancelled one may have
+  /// finalized since).
+  std::vector<std::uint64_t> expiry_candidates_locked(std::uint64_t step);
+#ifndef NDEBUG
+  /// The full scans the indexes replace, for debug-build cross-checks.
+  std::vector<std::pair<std::uint64_t, Expiry>> scan_expired_locked(
+      std::uint64_t step) const;
+  std::vector<std::uint64_t> scan_ready_locked() const;
+#endif
   void finalize_locked(std::uint64_t id, SessionInfo& info, Outcome outcome,
                        core::RobustVerdict verdict, std::string detail,
                        std::uint64_t step,
@@ -243,9 +297,20 @@ class Server {
   ServeConfig config_;
   const fault::FaultInjector* injector_;
 
+  /// Expired-record details; they depend only on the config.
+  const std::string deadline_detail_;
+  const std::string idle_detail_;
+
   mutable std::mutex mutex_;
   BoundedRing<QueuedBatch> ring_;
-  std::map<std::uint64_t, SessionInfo> sessions_;
+  std::unordered_map<std::uint64_t, SessionInfo> sessions_;
+  /// Min-heap of wake-ups, at most one live entry per open session (see
+  /// the header comment); entries of finalized sessions are stale.
+  std::priority_queue<Wakeup, std::vector<Wakeup>, std::greater<>> wakeups_;
+  /// Ids cancelled since the last tick.
+  std::vector<std::uint64_t> cancelled_;
+  /// Ids of the open sessions that are closed with nothing queued.
+  std::set<std::uint64_t> ready_;
   CircuitBreaker breaker_;
   std::unique_ptr<par::Supervisor> classify_super_;
   bool draining_ = false;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <unordered_map>
 
 #include "pmu/events.hpp"
 #include "pmu/noise.hpp"
@@ -12,9 +13,16 @@ namespace {
 
 /// Table-2 event lookup by wire name; nullopt for unknown events.
 std::optional<pmu::WestmereEvent> event_by_name(std::string_view name) {
-  for (const pmu::EventInfo& info : pmu::westmere_event_table())
-    if (info.name == name) return info.id;
-  return std::nullopt;
+  static const std::unordered_map<std::string_view, pmu::WestmereEvent>
+      by_name = [] {
+        std::unordered_map<std::string_view, pmu::WestmereEvent> table;
+        for (const pmu::EventInfo& info : pmu::westmere_event_table())
+          table.emplace(info.name, info.id);
+        return table;
+      }();
+  const auto it = by_name.find(name);
+  if (it == by_name.end()) return std::nullopt;
+  return it->second;
 }
 
 ValidatedBatch reject(BatchStatus status, std::string detail) {

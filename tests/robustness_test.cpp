@@ -118,6 +118,36 @@ TEST(RobustVerdict, ConfigValidates) {
   EXPECT_THROW(detector.classify_robust(measure, bad), std::runtime_error);
 }
 
+TEST(RobustVerdict, ToStringGoldens) {
+  // Serve records carry this text as their detail, and the pinned drill
+  // streams hash it, so the format is part of the service's output.
+  core::RobustVerdict v;
+  v.known = true;
+  v.mode = Mode::kGood;
+  v.confidence = 0.8;
+  v.repeats = 5;
+  v.classified = 5;
+  v.votes = {4, 1, 0};
+  EXPECT_EQ(v.to_string(), "good (confidence 0.8, 4/5 runs)");
+
+  v.mode = Mode::kBadFs;
+  v.confidence = 2.0 / 3.0;
+  v.repeats = 4;
+  v.classified = 3;
+  v.votes = {1, 2, 0};
+  EXPECT_EQ(v.to_string(), "bad-fs (confidence 0.666667, 2/4 runs)");
+
+  v.mode = Mode::kBadMa;
+  v.confidence = 1.0;
+  v.votes = {0, 0, 3};
+  EXPECT_EQ(v.to_string(), "bad-ma (confidence 1, 3/4 runs)");
+
+  v.known = false;
+  EXPECT_EQ(v.to_string(), "unknown (3/4 runs classified)");
+  EXPECT_EQ(core::RobustVerdict{}.to_string(),
+            "unknown (0/0 runs classified)");
+}
+
 TEST(Robustness, CleanPointMatchesBaseline) {
   core::RobustnessConfig config = harness_config();
   config.jitters = {0.0};

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/training.hpp"
 #include "serve/drill.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -155,6 +158,49 @@ TEST(ServeDrill, OverloadShedsInsteadOfGuessing) {
   expect_contracts(report);
   EXPECT_GT(report.shed + report.expired + report.abstained, 0u);
   EXPECT_GT(report.health.retry_afters, 0u);
+}
+
+/// CRC-32 over the records in production order: each record's to_string(),
+/// opened and final step, and detail. DrillReport::fingerprint sorts the
+/// lines and leaves steps and details out, so it cannot see a record that
+/// moved, came late or changed its reason.
+std::uint32_t ordered_stream_crc(
+    const std::vector<serve::SessionRecord>& records) {
+  util::Crc32 crc;
+  for (const serve::SessionRecord& r : records)
+    crc.update(r.to_string() + " " + std::to_string(r.opened_step) + " " +
+               std::to_string(r.final_step) + " " + r.detail + "\n");
+  return crc.value();
+}
+
+TEST(ServeDrill, StormRecordStreamsArePinned) {
+  // The seven storm scenarios of bench/serve_drill at 48 sessions, pinned
+  // from the tick that scanned every open session; the indexed tick must
+  // reproduce each stream byte for byte. (classify_saturation is a
+  // throughput scenario, not a storm.)
+  const std::map<std::string, std::uint32_t> pinned = {
+      {"baseline_burst", 0x709160f5u},
+      {"slow_clients_laggy_dequeue", 0xfd738c70u},
+      {"malformed_streams", 0x2f2c4879u},
+      {"queue_overflow", 0x7dd983dcu},
+      {"classify_throws", 0xd5c01402u},
+      {"mid_drill_cancellation", 0x5cb71633u},
+      {"combined_chaos", 0xc6294fa0u},
+  };
+  std::size_t checked = 0;
+  for (serve::DrillScenario& scenario : serve::drill_battery(48, 42)) {
+    const auto it = pinned.find(scenario.name);
+    if (it == pinned.end()) continue;
+    scenario.config.jobs = 2;
+    const serve::DrillReport report =
+        serve::run_drill(shared_detector(), shared_templates(), scenario.config);
+    expect_contracts(report);
+    const std::uint32_t crc = ordered_stream_crc(report.records);
+    EXPECT_EQ(crc, it->second)
+        << scenario.name << " produced 0x" << std::hex << crc;
+    ++checked;
+  }
+  EXPECT_EQ(checked, pinned.size());
 }
 
 TEST(ServeDrill, ValidateRejectsBadConfig) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/labels.hpp"
 #include "core/training.hpp"
 #include "fault/fault.hpp"
 #include "pmu/events.hpp"
@@ -185,6 +186,41 @@ TEST(ServeSession, PartialBatchYieldsNaNFeatureSlots) {
     (std::isnan(x) ? any_nan : any_finite) = true;
   EXPECT_TRUE(any_nan);
   EXPECT_TRUE(any_finite);
+}
+
+TEST(ServeSession, EveryTable2NameLandsInItsOwnSlot) {
+  for (const pmu::EventInfo& info : pmu::westmere_event_table()) {
+    const std::string name(info.name);
+    const auto slot = static_cast<std::size_t>(info.id);
+    serve::SampleBatch batch{{"Instructions_Retired", 1000.0}};
+    if (info.id != pmu::WestmereEvent::kInstructionsRetired)
+      batch.push_back({name, 250.0});
+    const serve::ValidatedBatch v = serve::validate_batch(batch);
+    ASSERT_EQ(v.status, serve::BatchStatus::kOk) << name;
+    // The normalizer has no feature slot: every slot stays missing.
+    for (std::size_t i = 0; i < pmu::kNumFeatures; ++i) {
+      if (i == slot)
+        EXPECT_DOUBLE_EQ(v.features.at(i), 0.25) << name;
+      else
+        EXPECT_TRUE(std::isnan(v.features.at(i))) << name << " slot " << i;
+    }
+  }
+}
+
+TEST(ServeSession, OneCharacterVariantOfANameIsMalformed) {
+  for (const pmu::EventInfo& info : pmu::westmere_event_table()) {
+    const std::string name(info.name);
+    std::string swapped = name;
+    swapped.back() = swapped.back() == 'X' ? 'Y' : 'X';
+    for (const std::string& variant :
+         {swapped, name.substr(0, name.size() - 1), name + "_", "_" + name}) {
+      serve::SampleBatch batch = full_batch();
+      batch.push_back({variant, 1.0});
+      const serve::ValidatedBatch v = serve::validate_batch(batch);
+      EXPECT_EQ(v.status, serve::BatchStatus::kMalformed) << variant;
+      EXPECT_EQ(v.detail, "unknown event '" + variant + "'");
+    }
+  }
 }
 
 // ---- circuit breaker -------------------------------------------------------
@@ -464,6 +500,227 @@ TEST(ServeServer, DrainFinalizesEverySessionAndClosesAdmission) {
   EXPECT_EQ(health.open_sessions, 0u);
   EXPECT_EQ(server.open_session(9, 100).admission, serve::Admission::kClosed);
   EXPECT_EQ(server.state(), serve::ServerState::kDraining);
+}
+
+// ---- tick edge cases: exact records, in production order -------------------
+
+/// One record as "<to_string> <opened>-><final> <detail>".
+std::string line(const serve::SessionRecord& r) {
+  return r.to_string() + " " + std::to_string(r.opened_step) + "->" +
+         std::to_string(r.final_step) + " " + r.detail;
+}
+
+std::vector<std::string> lines(const std::vector<serve::SessionRecord>& rs) {
+  std::vector<std::string> out;
+  for (const serve::SessionRecord& r : rs) out.push_back(line(r));
+  return out;
+}
+
+/// Ticks every step in [from, to] at `rate`, with `before(step)` run just
+/// ahead of each tick, and returns the records in production order.
+template <class Before>
+std::vector<std::string> tick_range(serve::Server& server, std::uint64_t from,
+                                    std::uint64_t to, std::size_t rate,
+                                    Before before) {
+  std::vector<std::string> out;
+  for (std::uint64_t step = from; step <= to; ++step) {
+    before(step);
+    for (std::string& l : lines(server.tick(step, rate)))
+      out.push_back(std::move(l));
+  }
+  return out;
+}
+
+TEST(ServeServer, ReopenedIdIsANewSession) {
+  par::ThreadPool pool(1);
+  serve::Server server(shared_detector(), pool, small_config());
+  // Session 1 finalizes by cancellation; its wake-up (idle, step 20) stays
+  // behind in the heap.
+  ASSERT_EQ(server.open_session(1, 0).admission, serve::Admission::kAdmitted);
+  server.submit(1, full_batch(), 0);
+  EXPECT_TRUE(server.tick(1, 4).empty());
+  server.cancel_session(1);
+  EXPECT_EQ(lines(server.tick(2, 4)),
+            (std::vector<std::string>{
+                "1:cancelled:unknown 0->2 cancelled mid-flight"}));
+
+  // Reopened at step 3, id 1 owes nothing to its first session: the old
+  // wake-up at step 20 must not expire it, and it re-arms at its own idle
+  // step when a submit at step 18 keeps it alive.
+  ASSERT_EQ(server.open_session(1, 3).admission, serve::Admission::kAdmitted);
+  // Session 2 is cancelled, quarantined and reopened before the next tick:
+  // the cancellation died with its first session.
+  ASSERT_EQ(server.open_session(2, 3).admission, serve::Admission::kAdmitted);
+  server.cancel_session(2);
+  EXPECT_EQ(server.submit(2, {{"Not_A_Westmere_Event", 1.0}}, 3).status,
+            serve::Submit::kQuarantined);
+  ASSERT_EQ(server.open_session(2, 3).admission, serve::Admission::kAdmitted);
+
+  const auto records = tick_range(server, 3, 60, 4, [&](std::uint64_t step) {
+    if (step == 18) server.submit(1, full_batch(), step);
+  });
+  const std::string idle = "idle: no client activity for 20 steps";
+  EXPECT_EQ(records,
+            (std::vector<std::string>{
+                "2:quarantined:unknown 3->3 unknown event "
+                "'Not_A_Westmere_Event'",
+                "2:expired:unknown 3->23 " + idle,
+                "1:expired:unknown 3->38 " + idle}));
+  EXPECT_EQ(server.snapshot().open_sessions, 0u);
+}
+
+TEST(ServeServer, CancelAfterCloseWinsOverTheVerdict) {
+  par::ThreadPool pool(1);
+  serve::Server server(shared_detector(), pool, small_config());
+  // Ready (closed, batch processed this tick) and cancelled: the expiry
+  // phase runs first, so the session ends cancelled, never classified.
+  ASSERT_EQ(server.open_session(1, 0).admission, serve::Admission::kAdmitted);
+  server.submit(1, full_batch(), 0);
+  server.close_session(1, 1);
+  server.cancel_session(1);
+  EXPECT_EQ(lines(server.tick(1, 4)),
+            (std::vector<std::string>{
+                "1:cancelled:unknown 0->1 cancelled mid-flight"}));
+  server.cancel_session(1);  // no longer open: ignored
+  EXPECT_TRUE(server.tick(2, 4).empty());
+
+  // Closed with its batch still queued, then cancelled.
+  ASSERT_EQ(server.open_session(2, 2).admission, serve::Admission::kAdmitted);
+  server.submit(2, full_batch(), 2);
+  server.close_session(2, 2);
+  server.cancel_session(2);
+  EXPECT_EQ(lines(server.tick(3, 0)),
+            (std::vector<std::string>{
+                "2:cancelled:unknown 2->3 cancelled mid-flight"}));
+  EXPECT_TRUE(server.tick(4, 4).empty());  // its orphaned batch drains
+  const serve::HealthSnapshot health = server.snapshot();
+  EXPECT_EQ(health.cancelled, 2u);
+  EXPECT_EQ(health.terminal_records(), 2u);
+  EXPECT_EQ(health.open_sessions, 0u);
+  EXPECT_EQ(health.queue_size, 0u);
+}
+
+TEST(ServeServer, ZeroDeadlineOrIdleTimeoutDisablesThatExpiry) {
+  struct Case {
+    std::uint64_t deadline, idle;
+    std::vector<std::string> records;
+    std::size_t still_open;
+  };
+  const std::vector<Case> cases = {
+      {0, 5, {"1:expired:unknown 0->5 idle: no client activity for 5 steps"},
+       1},
+      {30, 0,
+       {"1:expired:unknown 0->30 deadline: no verdict within 30 steps",
+        "2:expired:unknown 0->30 deadline: no verdict within 30 steps"},
+       0},
+      {0, 0, {}, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("deadline " + std::to_string(c.deadline) + ", idle " +
+                 std::to_string(c.idle));
+    par::ThreadPool pool(1);
+    serve::ServeConfig config = small_config();
+    config.deadline_steps = c.deadline;
+    config.idle_timeout_steps = c.idle;
+    serve::Server server(shared_detector(), pool, config);
+    // Session 1 never speaks. Session 2 closes with a batch that is never
+    // serviced (rate 0), so only a deadline can end it.
+    ASSERT_EQ(server.open_session(1, 0).admission,
+              serve::Admission::kAdmitted);
+    ASSERT_EQ(server.open_session(2, 0).admission,
+              serve::Admission::kAdmitted);
+    server.submit(2, full_batch(), 0);
+    server.close_session(2, 1);
+    EXPECT_EQ(tick_range(server, 1, 100, 0, [](std::uint64_t) {}), c.records);
+    EXPECT_TRUE(server.tick(1000000, 0).empty());
+    EXPECT_EQ(server.snapshot().open_sessions, c.still_open);
+  }
+}
+
+TEST(ServeServer, SubmitJustBeforeIdleTimeoutDefersExpiry) {
+  par::ThreadPool pool(1);
+  serve::ServeConfig config = small_config();
+  config.idle_timeout_steps = 5;
+  serve::Server server(shared_detector(), pool, config);
+  ASSERT_EQ(server.open_session(1, 0).admission, serve::Admission::kAdmitted);
+  // The wake-up armed for step 5 finds the client active at step 4 and
+  // re-arms for step 9.
+  const auto records = tick_range(server, 1, 20, 4, [&](std::uint64_t step) {
+    if (step == 4) server.submit(1, full_batch(), step);
+  });
+  EXPECT_EQ(records,
+            (std::vector<std::string>{
+                "1:expired:unknown 0->9 idle: no client activity for 5 "
+                "steps"}));
+}
+
+TEST(ServeServer, SeveralTicksAtOneStep) {
+  par::ThreadPool pool(1);
+  serve::ServeConfig config = small_config();
+  config.idle_timeout_steps = 5;
+  serve::Server server(shared_detector(), pool, config);
+  ASSERT_EQ(server.open_session(1, 0).admission, serve::Admission::kAdmitted);
+  ASSERT_EQ(server.open_session(2, 3).admission, serve::Admission::kAdmitted);
+  ASSERT_EQ(server.open_session(3, 3).admission, serve::Admission::kAdmitted);
+  const std::string idle = "idle: no client activity for 5 steps";
+  EXPECT_EQ(lines(server.tick(5, 4)),
+            (std::vector<std::string>{"1:expired:unknown 0->5 " + idle}));
+  EXPECT_TRUE(server.tick(5, 4).empty());
+  server.close_session(2, 5);
+  EXPECT_EQ(lines(server.tick(5, 4)),
+            (std::vector<std::string>{
+                "2:abstained:unknown 3->5 unknown (0/0 runs classified)"}));
+  server.cancel_session(3);
+  EXPECT_EQ(lines(server.tick(5, 4)),
+            (std::vector<std::string>{
+                "3:cancelled:unknown 3->5 cancelled mid-flight"}));
+  EXPECT_TRUE(server.tick(5, 4).empty());
+  EXPECT_EQ(server.snapshot().open_sessions, 0u);
+}
+
+TEST(ServeServer, DrainServicesQueuedBatchesBeforeFinalizing) {
+  par::ThreadPool pool(1);
+  serve::Server server(shared_detector(), pool, small_config());
+  for (std::uint64_t id = 1; id <= 4; ++id)
+    ASSERT_EQ(server.open_session(id, 0).admission,
+              serve::Admission::kAdmitted);
+  // FIFO: 1, 2, 3, 1, 3. Sessions 2 and 4 are never closed by their
+  // clients, and session 4 never submits: drain makes it ready at once.
+  for (const std::uint64_t id : {1u, 2u, 3u})
+    ASSERT_EQ(server.submit(id, full_batch(), 1).status,
+              serve::Submit::kAccepted);
+  for (const std::uint64_t id : {1u, 3u})
+    ASSERT_EQ(server.submit(id, full_batch(), 2).status,
+              serve::Submit::kAccepted);
+  server.close_session(1, 3);
+  server.close_session(3, 3);
+  EXPECT_TRUE(server.tick(3, 0).empty());
+
+  // One batch per drain tick: each session finalizes on the tick that
+  // services its last batch, not before.
+  const trainers::Mode mode =
+      shared_detector().classify(serve::validate_batch(full_batch()).features);
+  const auto verdict = [mode](std::uint64_t id, std::size_t runs,
+                              std::uint64_t final_step) {
+    serve::SessionRecord r;
+    r.id = id;
+    r.outcome = serve::Outcome::kVerdict;
+    r.verdict.known = true;
+    r.verdict.mode = mode;
+    r.verdict.confidence = 1.0;
+    r.verdict.repeats = runs;
+    r.verdict.classified = runs;
+    r.verdict.votes[static_cast<std::size_t>(core::label_of(mode))] = runs;
+    r.detail = r.verdict.to_string();
+    r.final_step = final_step;
+    return line(r);
+  };
+  EXPECT_EQ(lines(server.drain(4, 1)),
+            (std::vector<std::string>{
+                "4:abstained:unknown 0->4 unknown (0/0 runs classified)",
+                verdict(2, 1, 5), verdict(1, 2, 7), verdict(3, 2, 8)}));
+  EXPECT_EQ(server.snapshot().open_sessions, 0u);
+  EXPECT_EQ(server.snapshot().queue_size, 0u);
 }
 
 // ---- classify timing --------------------------------------------------------
