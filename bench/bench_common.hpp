@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,27 +28,16 @@
 
 namespace fsml::bench {
 
-/// --jobs=N resolved to an executing-thread count (0/absent = hardware).
-inline std::size_t cli_jobs(const util::Cli& cli) {
-  const std::int64_t jobs = cli.get_int("jobs", 0);
-  if (jobs < 0 || jobs > 4096)
-    throw std::runtime_error("option --jobs expects 0..4096, got " +
-                             std::to_string(jobs));
-  return jobs == 0 ? par::ThreadPool::hardware_workers()
-                   : static_cast<std::size_t>(jobs);
-}
-
-/// A pool sized so that `cli_jobs` threads execute once the submitting
-/// thread joins in (parallel_for work-shares with the caller).
+/// A pool on which par::cli_jobs threads execute.
 inline par::ThreadPool make_pool(const util::Cli& cli) {
-  return par::ThreadPool(cli_jobs(cli) - 1);
+  return par::ThreadPool(par::pool_workers(par::cli_jobs(cli)));
 }
 
 /// Loads (or collects and caches) the full training data set.
 inline core::TrainingData training_data(const util::Cli& cli) {
   core::TrainingConfig config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  config.jobs = cli_jobs(cli);
+  config.jobs = par::cli_jobs(cli);
   const std::string cache =
       cli.get("cache", "fsml_training_cache.csv");
   return core::collect_or_load(config, cache, &std::cerr);

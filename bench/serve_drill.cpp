@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
         cli.get_int_in("check-jobs", 4, 0, 4096));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
     const std::string out_path = cli.get("out", "BENCH_serve.json");
-    const std::size_t jobs = bench::cli_jobs(cli);
+    const std::size_t jobs = par::cli_jobs(cli);
 
     core::FalseSharingDetector detector;
     if (cli.get_bool("reduced-train", false)) {

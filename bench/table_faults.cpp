@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
     core::TrainingConfig config = core::TrainingConfig::reduced();
     config.thread_counts = {3};
-    config.jobs = bench::cli_jobs(cli);
+    config.jobs = par::cli_jobs(cli);
     config.filter = false;  // completion accounting wants the raw grid
 
     // Two cells that hang on every attempt, for the deadline row.

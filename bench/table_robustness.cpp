@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     config.repeats = static_cast<int>(cli.get_int_in("repeats", 5, 1, 1001));
     config.min_confidence = cli.get_double_in("confidence", 0.6, 0.0, 1.0);
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-    config.jobs = bench::cli_jobs(cli);
+    config.jobs = par::cli_jobs(cli);
     config.reduced = cli.get_bool("reduced", false);
 
     const core::FalseSharingDetector detector =

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     config.sweep.min_confidence =
         cli.get_double_in("confidence", 0.6, 0.0, 1.0);
     config.sweep.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-    config.sweep.jobs = bench::cli_jobs(cli);
+    config.sweep.jobs = par::cli_jobs(cli);
     config.sweep.reduced = cli.get_bool("reduced", false);
     config.demote_below = cli.get_double_in("demote-below",
                                             config.demote_below, 0.0, 1.0);

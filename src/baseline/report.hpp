@@ -33,13 +33,6 @@ struct SharingReport {
                              : static_cast<double>(false_sharing_misses) /
                                    static_cast<double>(instructions);
   }
-  double contention_rate() const {
-    return instructions == 0
-               ? 0.0
-               : static_cast<double>(false_sharing_misses +
-                                     true_sharing_misses) /
-                     static_cast<double>(instructions);
-  }
   bool has_false_sharing(double threshold = kFalseSharingRateThreshold) const {
     return false_sharing_rate() > threshold;
   }

@@ -164,9 +164,7 @@ void RobustnessConfig::validate() const {
 std::vector<EvalRun> simulate_evaluation_runs(const RobustnessConfig& config,
                                               std::ostream* log) {
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t jobs_n =
-      config.jobs == 0 ? par::ThreadPool::hardware_workers() : config.jobs;
-  par::ThreadPool pool(jobs_n - 1);
+  par::ThreadPool pool(par::pool_workers(config.jobs));
 
   const std::vector<EvalJob> jobs = enumerate_eval_jobs(config);
   std::vector<EvalRun> runs = par::parallel_transform(
@@ -202,9 +200,7 @@ void RobustnessReport::write_json(std::ostream& os) const {
 std::vector<SweepCell> sweep_noise_grid(const FalseSharingDetector& detector,
                                         const std::vector<EvalRun>& runs,
                                         const RobustnessConfig& config) {
-  const std::size_t jobs_n =
-      config.jobs == 0 ? par::ThreadPool::hardware_workers() : config.jobs;
-  par::ThreadPool pool(jobs_n - 1);
+  par::ThreadPool pool(par::pool_workers(config.jobs));
 
   RobustConfig vote;
   vote.repeats = config.repeats;

@@ -374,12 +374,8 @@ TrainingData collect_training_data(const TrainingConfig& config,
     if (log && options.resume) *log << note << '\n' << std::flush;
   }
 
-  const std::size_t n_jobs =
-      config.jobs == 0 ? par::ThreadPool::hardware_workers() : config.jobs;
-  // The submitting thread participates in parallel_for, so a pool of
-  // n_jobs - 1 workers gives exactly n_jobs executing threads; jobs == 1
-  // runs everything inline on this thread (the pre-pool behaviour).
-  par::ThreadPool pool(n_jobs - 1);
+  const std::size_t n_jobs = par::resolve_jobs(config.jobs);
+  par::ThreadPool pool(par::pool_workers(n_jobs));
   par::Supervisor supervisor(pool, options.supervision);
   fault::FaultInjector inert;
   fault::FaultInjector* injector =
@@ -495,13 +491,6 @@ std::vector<double> extended_row(const LabeledInstance& inst) {
   x.push_back(inst.hitm_remote_ratio);
   x.push_back(inst.dram_remote_ratio);
   return x;
-}
-
-ml::Dataset TrainingData::to_extended_dataset() const {
-  ml::Dataset dataset(extended_feature_names(), class_names());
-  for (const LabeledInstance& inst : instances)
-    dataset.add(extended_row(inst), inst.label);
-  return dataset;
 }
 
 std::vector<std::vector<double>> TrainingData::good_extended_rows() const {

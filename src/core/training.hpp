@@ -68,8 +68,8 @@ struct LabeledInstance {
 };
 
 /// The 15 normalized features plus the two locality ratios, in
-/// extended_feature_names() order — the row shape consumed by
-/// to_extended_dataset() and the zero-positive anomaly model.
+/// extended_feature_names() order — the row shape consumed by the
+/// zero-positive anomaly model.
 std::vector<double> extended_row(const LabeledInstance& inst);
 
 /// Census in the shape of the paper's Table 3.
@@ -91,12 +91,6 @@ struct TrainingData {
 
   /// Converts to an ML dataset (15 normalized features + class).
   ml::Dataset to_dataset() const;
-
-  /// Same instances over the extended schema (15 features + the two
-  /// locality ratios). On single-socket data the extra attributes are
-  /// constant zero, so a C4.5 tree trained on this dataset has exactly the
-  /// same structure as one trained on to_dataset().
-  ml::Dataset to_extended_dataset() const;
 
   /// Extended rows of the good-labelled instances only — the zero-positive
   /// anomaly model's training set.

@@ -201,9 +201,7 @@ TriageReport evaluate_triage(const FalseSharingDetector& detector,
   const auto start = std::chrono::steady_clock::now();
   const RobustnessConfig& sweep = config.sweep;
 
-  const std::size_t jobs_n =
-      sweep.jobs == 0 ? par::ThreadPool::hardware_workers() : sweep.jobs;
-  par::ThreadPool pool(jobs_n - 1);
+  par::ThreadPool pool(par::pool_workers(sweep.jobs));
 
   // Simulate the evaluation set once; every grid cell re-measures it.
   const std::vector<EvalRun> runs = simulate_evaluation_runs(sweep, log);

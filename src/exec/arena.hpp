@@ -56,7 +56,6 @@ class VirtualArena {
   /// Inserts an unused gap, useful to pad between allocations.
   void skip(std::uint64_t bytes);
 
-  std::uint64_t bytes_allocated() const { return next_ - base_; }
   std::uint32_t line_bytes() const { return line_bytes_; }
   std::uint32_t page_bytes() const { return page_bytes_; }
 

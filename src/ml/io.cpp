@@ -10,64 +10,9 @@
 #include <string_view>
 
 #include "util/atomic_file.hpp"
-#include "util/check.hpp"
 #include "util/crc32.hpp"
 
 namespace fsml::ml {
-
-namespace {
-
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream ss(line);
-  while (std::getline(ss, field, ',')) fields.push_back(field);
-  return fields;
-}
-
-}  // namespace
-
-void write_csv(const Dataset& data, std::ostream& os) {
-  for (const auto& name : data.attribute_names()) os << name << ',';
-  os << "class\n";
-  os << std::setprecision(17);
-  for (const Instance& inst : data.instances()) {
-    for (const double v : inst.x) os << v << ',';
-    os << data.class_name(inst.y) << '\n';
-  }
-}
-
-Dataset read_csv(std::istream& is,
-                 const std::vector<std::string>& class_names) {
-  std::string line;
-  FSML_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
-                 "empty CSV stream");
-  auto header = split_csv_line(line);
-  FSML_CHECK_MSG(header.size() >= 2 && header.back() == "class",
-                 "CSV header must end with 'class'");
-  header.pop_back();
-  Dataset data(header, class_names);
-
-  std::size_t lineno = 1;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const auto fields = split_csv_line(line);
-    if (fields.size() != header.size() + 1)
-      throw std::runtime_error("CSV line " + std::to_string(lineno) +
-                               ": wrong field count");
-    std::vector<double> x;
-    x.reserve(header.size());
-    for (std::size_t i = 0; i < header.size(); ++i)
-      x.push_back(std::stod(fields[i]));
-    const int label = data.class_index(fields.back());
-    if (label < 0)
-      throw std::runtime_error("CSV line " + std::to_string(lineno) +
-                               ": unknown class '" + fields.back() + "'");
-    data.add(std::move(x), label);
-  }
-  return data;
-}
 
 void write_arff(const Dataset& data, const std::string& relation,
                 std::ostream& os) {

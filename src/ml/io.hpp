@@ -1,8 +1,7 @@
 // Dataset and model serialization.
 //
-// Datasets: CSV (read/write) and ARFF (write) — ARFF being Weka's native
-// format, so collected training data can be loaded into the actual Weka J48
-// for an external cross-check.
+// Datasets: ARFF (write), Weka's native format, so collected training data
+// can be loaded into the actual Weka J48 for an external cross-check.
 //
 // Models: a versioned, integrity-checked container around C45Tree's raw
 // text payload, so a trained tree survives process restarts and a corrupt
@@ -30,14 +29,6 @@
 #include "ml/dataset.hpp"
 
 namespace fsml::ml {
-
-/// CSV layout: header "attr1,...,attrN,class"; one instance per row with
-/// the class written by name.
-void write_csv(const Dataset& data, std::ostream& os);
-
-/// Reads the CSV layout produced by write_csv. Class names are taken from
-/// `class_names` (rows with unknown classes raise).
-Dataset read_csv(std::istream& is, const std::vector<std::string>& class_names);
 
 /// Weka ARFF with numeric attributes and a nominal class.
 void write_arff(const Dataset& data, const std::string& relation,

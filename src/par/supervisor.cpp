@@ -2,6 +2,13 @@
 
 namespace fsml::par {
 
+namespace {
+
+/// Seeds the backoff jitter.
+constexpr std::uint64_t kBackoffSeed = 42;
+
+}  // namespace
+
 void SupervisorConfig::validate() const {
   if (max_attempts < 1 || max_attempts > 100)
     throw std::runtime_error("SupervisorConfig: max_attempts must be 1..100");
@@ -80,7 +87,7 @@ void Supervisor::backoff_sleep(std::size_t index, int attempt) const {
     ceiling = std::min(ceiling * 3.0,
                        static_cast<double>(config_.backoff_cap.count()));
   ceiling = std::max(ceiling, 1.0);
-  util::SplitMix64 mix(config_.backoff_seed ^
+  util::SplitMix64 mix(kBackoffSeed ^
                        (static_cast<std::uint64_t>(index) << 20) ^
                        static_cast<std::uint64_t>(attempt));
   const double u =

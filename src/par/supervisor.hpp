@@ -90,10 +90,9 @@ struct SupervisorConfig {
   std::chrono::milliseconds deadline{0};
   /// Exponential backoff with decorrelated jitter: attempt k sleeps
   /// uniform(base, min(cap, prev * 3)) milliseconds, deterministically
-  /// drawn from (backoff_seed, job index, k).
+  /// drawn from (a fixed seed, job index, k).
   std::chrono::milliseconds backoff_base{2};
   std::chrono::milliseconds backoff_cap{250};
-  std::uint64_t backoff_seed = 42;
 
   /// Throws std::runtime_error on out-of-range values.
   void validate() const;
@@ -182,20 +181,10 @@ class Supervisor {
             return;
           }
           retried.fetch_add(1, std::memory_order_relaxed);
-          // Clear this attempt's deadline cancellation *before* the backoff
-          // so the retry starts clean, then re-check after it: a cancel
-          // arriving between retry scheduling and dispatch (an external
-          // holder of the token, e.g. a serve session being torn down) must
-          // land the job in quarantine exactly once — never be silently
-          // swallowed by a reset, never dispatch another attempt.
+          // Clear this attempt's deadline cancellation so the retry starts
+          // clean.
           token.reset();
           backoff_sleep(i, attempt);
-          if (token.cancelled()) {
-            std::lock_guard<std::mutex> lock(record_mutex);
-            out.failures.push_back({i, attempt, true,
-                                    "cancelled before retry dispatch"});
-            return;
-          }
         }
       }
     });

@@ -1,6 +1,11 @@
 #include "par/thread_pool.hpp"
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "util/cli.hpp"
 
 namespace fsml::par {
 
@@ -62,6 +67,20 @@ void ThreadPool::worker_loop() {
     }
     job();
   }
+}
+
+std::size_t resolve_jobs(std::size_t jobs) {
+  return jobs == 0 ? ThreadPool::hardware_workers() : jobs;
+}
+
+std::size_t pool_workers(std::size_t jobs) { return resolve_jobs(jobs) - 1; }
+
+std::size_t cli_jobs(const util::Cli& cli) {
+  const std::int64_t jobs = cli.get_int("jobs", 0);
+  if (jobs < 0 || jobs > 4096)
+    throw std::runtime_error("option --jobs expects 0..4096, got " +
+                             std::to_string(jobs));
+  return resolve_jobs(static_cast<std::size_t>(jobs));
 }
 
 }  // namespace fsml::par

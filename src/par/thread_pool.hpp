@@ -24,6 +24,10 @@
 #include <thread>
 #include <vector>
 
+namespace fsml::util {
+class Cli;
+}
+
 namespace fsml::par {
 
 class ThreadPool {
@@ -60,5 +64,17 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };
+
+/// The jobs rule: `jobs` executing threads, where 0 means every hardware
+/// thread.
+std::size_t resolve_jobs(std::size_t jobs);
+
+/// Workers for a pool on which `jobs` threads execute. parallel_for's
+/// caller works too, so that is resolve_jobs(jobs) - 1: none for jobs == 1,
+/// which runs everything inline.
+std::size_t pool_workers(std::size_t jobs);
+
+/// --jobs=N (0..4096, default 0) resolved by resolve_jobs.
+std::size_t cli_jobs(const util::Cli& cli);
 
 }  // namespace fsml::par

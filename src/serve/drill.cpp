@@ -213,9 +213,7 @@ DrillReport run_drill(const core::FalseSharingDetector& detector,
   FSML_CHECK_MSG(!templates.empty(), "run_drill needs template runs");
   const auto start = std::chrono::steady_clock::now();
 
-  const std::size_t jobs_n =
-      config.jobs > 0 ? config.jobs : par::ThreadPool::hardware_workers();
-  par::ThreadPool pool(jobs_n - 1);
+  par::ThreadPool pool(par::pool_workers(config.jobs));
   fault::FaultInjector injector(config.faults);
   Server server(detector, pool, config.server, &injector);
 

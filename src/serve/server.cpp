@@ -6,16 +6,15 @@
 #include <stdexcept>
 #include <utility>
 
+#include "par/parallel_for.hpp"
 #include "util/check.hpp"
 
 namespace fsml::serve {
 
 namespace {
 
-/// Classification attempts per session (par::Supervisor retries), with no
-/// wall-clock watchdog on an attempt.
+/// Classification attempts per session: the first try and one retry.
 constexpr int kClassifyAttempts = 2;
-constexpr std::chrono::milliseconds kClassifyDeadline{0};
 
 core::RobustVerdict unknown_verdict(std::size_t repeats) {
   core::RobustVerdict v;
@@ -92,24 +91,16 @@ Server::Server(const core::FalseSharingDetector& detector,
                        std::to_string(config_.deadline_steps) + " steps"),
       idle_detail_("idle: no client activity for " +
                    std::to_string(config_.idle_timeout_steps) + " steps"),
-      ring_(config_.queue_depth),
       breaker_(config_.seed ^ 0x0b7ea4e5ULL) {
   FSML_CHECK_MSG(detector_.trained(),
                  "serve::Server needs a trained detector");
-  par::SupervisorConfig super;
-  super.max_attempts = kClassifyAttempts;
-  super.deadline = kClassifyDeadline;
-  super.backoff_base = std::chrono::milliseconds(0);
-  super.backoff_cap = std::chrono::milliseconds(0);
-  super.backoff_seed = config_.seed;
-  classify_super_ = std::make_unique<par::Supervisor>(pool_, super);
 }
 
 ServerState Server::state_locked() const {
   if (draining_) return ServerState::kDraining;
   if (breaker_.open()) return ServerState::kAbstainOnly;
-  const double occupancy = static_cast<double>(ring_.size()) /
-                           static_cast<double>(ring_.capacity());
+  const double occupancy = static_cast<double>(queue_.size()) /
+                           static_cast<double>(config_.queue_depth);
   if (occupancy >= kAbstainWatermark) return ServerState::kAbstainOnly;
   if (occupancy >= kShedWatermark) return ServerState::kShedding;
   return ServerState::kHealthy;
@@ -211,10 +202,7 @@ SubmitResult Server::submit(std::uint64_t id, const SampleBatch& batch,
       injector_ != nullptr &&
       injector_->should_overflow("serve.enqueue", batch_key(id, sequence),
                                  static_cast<int>(info.rejections) + 1);
-  bool pushed = false;
-  if (!forced_overflow)
-    pushed = ring_.try_push({id, sequence, std::move(validated.features)});
-  if (!pushed) {
+  if (forced_overflow || queue_.size() >= config_.queue_depth) {
     ++stats_.retry_afters;
     if (++info.rejections > kMaxRetryAfter) {
       // Persistent overflow: shed this session to an explicit abstention
@@ -223,6 +211,7 @@ SubmitResult Server::submit(std::uint64_t id, const SampleBatch& batch,
     }
     return {Submit::kRetryAfter, retry_hint_locked(), ""};
   }
+  queue_.push_back({id, sequence, std::move(validated.features)});
   info.rejections = 0;
   ++info.queued;
   ++info.submitted;
@@ -287,6 +276,32 @@ core::RobustVerdict Server::classify_session(const SessionInfo& info) const {
       [&info](std::size_t r) { return info.measurements[r]; }, vote);
 }
 
+Server::Classified Server::classify_with_retry(std::uint64_t id) const {
+  Classified out;
+  for (int attempt = 1; attempt <= kClassifyAttempts; ++attempt) {
+    try {
+      if (injector_ != nullptr)
+        injector_->maybe_throw("serve.classify", std::to_string(id), attempt);
+      const auto t0 = std::chrono::steady_clock::now();
+      out.verdict = classify_session(sessions_.at(id));
+      out.ns = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+      return out;
+    } catch (const std::logic_error&) {
+      // A bug (FSML_CHECK), not a transient fault: never retried.
+      out.bug = std::current_exception();
+      return out;
+    } catch (const std::exception& e) {
+      out.error = e.what();
+    } catch (...) {
+      out.error = "unknown error";
+    }
+  }
+  return out;
+}
+
 std::vector<std::uint64_t> Server::expiry_candidates_locked(
     std::uint64_t step) {
   std::vector<std::uint64_t> ids = std::move(cancelled_);
@@ -337,26 +352,26 @@ std::vector<SessionRecord> Server::tick_locked(std::uint64_t step,
   std::vector<SessionRecord> records = std::move(pending_records_);
   pending_records_.clear();
 
-  // Service phase: drain up to service_rate batches from the ring; an
-  // injected stall consumes extra service budget, modelling a laggy
-  // dequeue without reordering the FIFO.
+  // Service phase: take up to service_rate batches from the queue, oldest
+  // first; an injected stall consumes extra service budget, modelling a
+  // laggy dequeue without reordering the FIFO.
   std::int64_t budget = static_cast<std::int64_t>(service_rate);
-  while (budget > 0) {
-    std::optional<QueuedBatch> item = ring_.try_pop();
-    if (!item) break;
+  while (budget > 0 && !queue_.empty()) {
+    QueuedBatch item = std::move(queue_.front());
+    queue_.pop_front();
     std::int64_t cost = 1;
     if (injector_ != nullptr)
       cost += static_cast<std::int64_t>(injector_->stall_for(
-          "serve.dequeue", batch_key(item->session, item->sequence), 1));
+          "serve.dequeue", batch_key(item.session, item.sequence), 1));
     budget -= cost;
     ++stats_.batches_processed;
-    const auto it = sessions_.find(item->session);
+    const auto it = sessions_.find(item.session);
     if (it == sessions_.end()) continue;  // quarantined/cancelled meanwhile
     SessionInfo& info = it->second;
     if (info.queued > 0) --info.queued;
     if (info.measurements.size() < kMaxBatchesPerSession)
-      info.measurements.emplace_back(std::move(item->features));
-    if (info.closed && info.queued == 0) ready_.insert(item->session);
+      info.measurements.emplace_back(std::move(item.features));
+    if (info.closed && info.queued == 0) ready_.insert(item.session);
   }
 
   // Expiry phase, in ascending id order: cancellations, deadlines, idle
@@ -390,7 +405,7 @@ std::vector<SessionRecord> Server::tick_locked(std::uint64_t step,
 
   // Ready phase: sessions whose client closed and whose queued batches are
   // all processed. Degraded (shed) sessions finalize to an explicit
-  // abstention; the rest classify on the pool under supervision.
+  // abstention; the rest classify on the pool, two attempts each.
   const std::vector<std::uint64_t> ready(ready_.begin(), ready_.end());
   FSML_DCHECK(ready == scan_ready_locked());
   std::vector<std::uint64_t> to_classify;
@@ -419,52 +434,33 @@ std::vector<SessionRecord> Server::tick_locked(std::uint64_t step,
     } else {
       // Half-open: classify only the first ready session as the probe;
       // the rest stay queued for the next tick (or abstain if it fails).
-      std::vector<std::uint64_t> batch_ids = to_classify;
-      if (was_open) batch_ids.resize(1);
+      if (was_open) to_classify.resize(1);
 
-      // Per-call wall time for the HealthSnapshot percentiles. Workers
-      // write disjoint slots; run() joins before they are read.
-      std::vector<std::uint64_t> call_ns(batch_ids.size(), 0);
-      const auto supervised = classify_super_->run(
-          batch_ids.size(),
-          [this, &batch_ids, &call_ns](std::size_t k, par::CancelToken&,
-                                       int attempt) {
-            const std::uint64_t id = batch_ids[k];
-            if (injector_ != nullptr)
-              injector_->maybe_throw("serve.classify", std::to_string(id),
-                                     attempt);
-            const auto t0 = std::chrono::steady_clock::now();
-            core::RobustVerdict verdict = classify_session(sessions_.at(id));
-            call_ns[k] = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-            return verdict;
-          });
-      for (const std::uint64_t ns : call_ns)
-        if (ns > 0) classify_ns_.push_back(ns);
+      // Workers write disjoint slots; parallel_for joins before they are
+      // read, and the lowest-index bug escapes before any is recorded.
+      std::vector<Classified> classified(to_classify.size());
+      par::parallel_for(pool_, to_classify.size(), [&](std::size_t k) {
+        classified[k] = classify_with_retry(to_classify[k]);
+      });
+      for (const Classified& c : classified)
+        if (c.bug) std::rethrow_exception(c.bug);
 
-      std::size_t failure_at = 0;
-      for (std::size_t k = 0; k < batch_ids.size(); ++k) {
-        SessionInfo& info = sessions_.at(batch_ids[k]);
-        if (supervised.results[k].has_value()) {
+      for (std::size_t k = 0; k < to_classify.size(); ++k) {
+        SessionInfo& info = sessions_.at(to_classify[k]);
+        const Classified& c = classified[k];
+        if (c.verdict.has_value()) {
+          classify_ns_[stats_.classify_calls++ % kClassifyWindow] = c.ns;
           breaker_.on_success();
-          const core::RobustVerdict& verdict = *supervised.results[k];
-          if (verdict.known)
-            finalize_locked(batch_ids[k], info, Outcome::kVerdict, verdict,
-                            verdict.to_string(), step, records);
-          else
-            finalize_locked(batch_ids[k], info, Outcome::kAbstained, verdict,
-                            verdict.to_string(), step, records);
+          finalize_locked(to_classify[k], info,
+                          c.verdict->known ? Outcome::kVerdict
+                                           : Outcome::kAbstained,
+                          *c.verdict, c.verdict->to_string(), step, records);
         } else {
-          const par::JobFailure& failure = supervised.failures[failure_at++];
-          stats_.classify_faults +=
-              static_cast<std::uint64_t>(failure.attempts);
+          stats_.classify_faults += kClassifyAttempts;
           breaker_.on_failure(step);
-          finalize_locked(batch_ids[k], info, Outcome::kAbstained,
+          finalize_locked(to_classify[k], info, Outcome::kAbstained,
                           unknown_verdict(info.measurements.size()),
-                          "classify faulted: " + failure.error, step,
-                          records);
+                          "classify faulted: " + c.error, step, records);
         }
       }
       stats_.breaker_trips = breaker_.trips();
@@ -488,7 +484,7 @@ std::vector<SessionRecord> Server::drain(std::uint64_t step,
   // finalized. The breaker backoff bounds the wait; the deadline is the
   // hard backstop, so this terminates.
   std::uint64_t guard = 0;
-  while (!sessions_.empty() || ring_.size() > 0) {
+  while (!sessions_.empty() || !queue_.empty()) {
     auto produced = tick_locked(step, rate);
     records.insert(records.end(),
                    std::make_move_iterator(produced.begin()),
@@ -497,13 +493,7 @@ std::vector<SessionRecord> Server::drain(std::uint64_t step,
     FSML_CHECK_MSG(++guard < 1000000,
                    "serve::Server::drain failed to converge");
   }
-  ring_.close();
   return records;
-}
-
-ServerState Server::state() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return state_locked();
 }
 
 HealthSnapshot Server::snapshot() const {
@@ -511,13 +501,15 @@ HealthSnapshot Server::snapshot() const {
   HealthSnapshot out = stats_;
   out.state = state_locked();
   out.open_sessions = sessions_.size();
-  out.queue_size = ring_.size();
-  out.queue_capacity = ring_.capacity();
+  out.queue_size = queue_.size();
+  out.queue_capacity = config_.queue_depth;
   out.breaker_trips = breaker_.trips();
   out.breaker_open = breaker_.open();
-  out.classify_calls = classify_ns_.size();
-  if (!classify_ns_.empty()) {
-    std::vector<std::uint64_t> sorted = classify_ns_;
+  const std::size_t window = static_cast<std::size_t>(
+      std::min<std::uint64_t>(stats_.classify_calls, kClassifyWindow));
+  if (window > 0) {
+    std::vector<std::uint64_t> sorted(classify_ns_.begin(),
+                                      classify_ns_.begin() + window);
     std::sort(sorted.begin(), sorted.end());
     const auto at = [&sorted](double q) {
       const auto idx = static_cast<std::size_t>(

@@ -1,14 +1,14 @@
 // serve::Server — an overload-safe streaming detection service.
 //
-// Sessions of counter-sample batches are admitted, validated, queued
-// through a bounded ring onto the fsml::par pool, and classified with the
-// existing two-stage detector. Robustness is the load-bearing design: the
+// Sessions of counter-sample batches are admitted, validated, queued in a
+// bounded FIFO, and classified with the existing two-stage detector, fanned
+// out over the fsml::par pool. Robustness is the load-bearing design: the
 // server's one invariant is that *every admitted session receives exactly
 // one terminal record*, and that under any combination of overload, stalls,
 // garbage streams, and classify faults that record is a correct verdict or
 // an explicit `unknown` abstention — never a guess. Concretely:
 //
-//  * admission control + backpressure — the ring never grows: a full queue
+//  * admission control + backpressure — the queue never grows: a full queue
 //    rejects the batch with a retry-after hint; a session rejected more
 //    than kMaxRetryAfter times in a row is shed to an explicit abstention
 //    instead of queueing forever;
@@ -22,10 +22,12 @@
 //    caller's virtual steps, plus mid-flight cancellation (cancel_session);
 //  * validation — strict per-batch schema checks (serve/session.hpp):
 //    malformed streams quarantine their session, never the server;
-//  * fault containment — classification runs under a par::Supervisor
-//    (bounded retries, optional watchdog deadline); repeated classify
-//    faults trip a CircuitBreaker whose decorrelated-jitter re-probe
-//    schedule degrades the server to abstain-only while open.
+//  * fault containment — each ready session gets two classify attempts,
+//    fanned out with par::parallel_for; a session whose both attempts fail
+//    abstains, repeated classify faults trip a CircuitBreaker whose
+//    decorrelated-jitter re-probe schedule degrades the server to
+//    abstain-only while open, and a std::logic_error (a bug, not a fault)
+//    is never retried and escapes tick().
 //
 // A tick does work in proportion to the sessions that can change state at
 // its step, not to the sessions that are open. Three indexes, kept current
@@ -54,17 +56,21 @@
 // scheduling — which is what lets bench/serve_drill assert bit-identical
 // verdict sets across --jobs values.
 //
-// Thread safety: all public methods are mutex-guarded; submit() may be
-// called from many client threads while another thread ticks. Determinism
-// across --jobs is guaranteed for a fixed *call sequence* (the drill is
-// single-threaded by design); concurrent callers get linearized, conserved
-// sessions instead.
+// Thread safety: one mutex guards everything, the queue included; submit()
+// may be called from many client threads while another thread ticks. The
+// lock is held through a tick's classify fan-out, whose workers only read
+// the sessions and write their own result slots. Determinism across --jobs
+// is guaranteed for a fixed *call sequence* (the drill is single-threaded
+// by design); concurrent callers get linearized, conserved sessions
+// instead.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -76,10 +82,8 @@
 
 #include "core/detector.hpp"
 #include "fault/fault.hpp"
-#include "par/supervisor.hpp"
 #include "par/thread_pool.hpp"
 #include "serve/breaker.hpp"
-#include "serve/ring.hpp"
 #include "serve/session.hpp"
 
 namespace fsml::serve {
@@ -92,9 +96,11 @@ inline constexpr std::size_t kMaxRetryAfter = 3;
 /// Queue occupancy fractions entering shedding / abstain-only.
 inline constexpr double kShedWatermark = 0.75;
 inline constexpr double kAbstainWatermark = 0.95;
+/// Most recent classify calls the HealthSnapshot percentiles cover.
+inline constexpr std::size_t kClassifyWindow = 1024;
 
 struct ServeConfig {
-  /// Bounded ring capacity, in batches. The queue never grows past this.
+  /// Queue capacity, in batches. The queue never grows past this.
   std::size_t queue_depth = 256;
   /// Concurrently open sessions; further opens get retry-after.
   std::size_t max_sessions = 1024;
@@ -174,9 +180,10 @@ struct HealthSnapshot {
   int breaker_trips = 0;
   bool breaker_open = false;
 
-  /// Where classify time goes: wall-clock percentiles over every
-  /// supervised classify_session call (µs). Wall times never influence
-  /// verdicts, so they do not break the bit-identity contract.
+  /// Where classify time goes: every classify call is counted, and the
+  /// wall-clock percentiles (µs) cover the last kClassifyWindow of them.
+  /// Wall times never influence verdicts, so they do not break the
+  /// bit-identity contract.
   std::uint64_t classify_calls = 0;
   double classify_p50_us = 0.0;
   double classify_p99_us = 0.0;
@@ -228,7 +235,6 @@ class Server {
   std::vector<SessionRecord> drain(std::uint64_t step,
                                    std::size_t service_rate);
 
-  ServerState state() const;
   HealthSnapshot snapshot() const;
 
  private:
@@ -268,6 +274,15 @@ class Server {
     pmu::FeatureVector features;
   };
 
+  /// One ready session's classification: the verdict, or what() of its
+  /// last failed attempt.
+  struct Classified {
+    std::optional<core::RobustVerdict> verdict;
+    std::string error;
+    std::exception_ptr bug;  ///< a std::logic_error, rethrown by tick()
+    std::uint64_t ns = 0;    ///< wall time of the call that succeeded
+  };
+
   ServerState state_locked() const;
   std::uint64_t retry_hint_locked() const;
   Expiry expiry_of(const SessionInfo& info, std::uint64_t step) const;
@@ -289,6 +304,9 @@ class Server {
                        std::uint64_t step,
                        std::vector<SessionRecord>& out);
   core::RobustVerdict classify_session(const SessionInfo& info) const;
+  /// Up to kClassifyAttempts tries at classify_session; safe to run on a
+  /// pool worker while the tick holds the lock.
+  Classified classify_with_retry(std::uint64_t id) const;
   std::vector<SessionRecord> tick_locked(std::uint64_t step,
                                          std::size_t service_rate);
 
@@ -301,8 +319,10 @@ class Server {
   const std::string deadline_detail_;
   const std::string idle_detail_;
 
+  /// The only lock: it guards every member below.
   mutable std::mutex mutex_;
-  BoundedRing<QueuedBatch> ring_;
+  /// Accepted batches, oldest first; never more than queue_depth.
+  std::deque<QueuedBatch> queue_;
   std::unordered_map<std::uint64_t, SessionInfo> sessions_;
   /// Min-heap of wake-ups, at most one live entry per open session (see
   /// the header comment); entries of finalized sessions are stale.
@@ -312,13 +332,11 @@ class Server {
   /// Ids of the open sessions that are closed with nothing queued.
   std::set<std::uint64_t> ready_;
   CircuitBreaker breaker_;
-  std::unique_ptr<par::Supervisor> classify_super_;
   bool draining_ = false;
   HealthSnapshot stats_;
-  /// Wall-clock nanoseconds of every classify_session call, for the
-  /// HealthSnapshot percentiles (guarded by mutex_; workers write disjoint
-  /// per-call slots that are appended after the supervised run joins).
-  std::vector<std::uint64_t> classify_ns_;
+  /// Wall-clock nanoseconds of the last kClassifyWindow classify calls, for
+  /// the HealthSnapshot percentiles; call c lands in slot c % window.
+  std::array<std::uint64_t, kClassifyWindow> classify_ns_{};
   /// Records produced outside tick (submit-time quarantines); the next
   /// tick() drains them first, keeping record order deterministic.
   std::vector<SessionRecord> pending_records_;

@@ -83,7 +83,6 @@ class MemorySystem {
   /// PMU collection on/off (models running without `perf`): when disabled,
   /// no raw events are counted. Used by the overhead bench.
   void set_counting_enabled(bool enabled) { counting_ = enabled; }
-  bool counting_enabled() const { return counting_; }
 
   void add_observer(AccessObserver* observer);
   void remove_observer(AccessObserver* observer);

@@ -607,20 +607,6 @@ TEST(CrossValidation, DeterministicGivenRngSeed) {
 
 // ---- io ------------------------------------------------------------------------
 
-TEST(Io, CsvRoundTrip) {
-  util::Rng rng(16);
-  const Dataset d = three_class(10, rng);
-  std::stringstream ss;
-  ml::write_csv(d, ss);
-  const Dataset back = ml::read_csv(ss, d.class_names());
-  ASSERT_EQ(back.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_EQ(back.at(i).y, d.at(i).y);
-    for (std::size_t a = 0; a < d.num_attributes(); ++a)
-      EXPECT_DOUBLE_EQ(back.at(i).x[a], d.at(i).x[a]);
-  }
-}
-
 TEST(Io, ArffHasWekaStructure) {
   util::Rng rng(17);
   const Dataset d = separable(5, rng);
@@ -631,16 +617,6 @@ TEST(Io, ArffHasWekaStructure) {
   EXPECT_NE(text.find("@attribute a numeric"), std::string::npos);
   EXPECT_NE(text.find("@attribute class {neg,pos}"), std::string::npos);
   EXPECT_NE(text.find("@data"), std::string::npos);
-}
-
-TEST(Io, CsvRejectsMalformedRows) {
-  std::stringstream ss("a,b,class\n1.0,2.0,neg\n1.0,oops\n");
-  EXPECT_THROW(ml::read_csv(ss, {"neg", "pos"}), std::exception);
-}
-
-TEST(Io, CsvRejectsUnknownClass) {
-  std::stringstream ss("a,b,class\n1.0,2.0,zebra\n");
-  EXPECT_THROW(ml::read_csv(ss, {"neg", "pos"}), std::exception);
 }
 
 // ---- versioned model container ---------------------------------------------

@@ -15,6 +15,7 @@
 
 #include "par/parallel_for.hpp"
 #include "par/thread_pool.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -36,6 +37,22 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
   int ran = 0;
   pool.submit([&ran] { ran = 1; });  // no worker exists: must run inline
   EXPECT_EQ(ran, 1);
+}
+
+TEST(ThreadPool, JobsRuleCountsTheCallingThread) {
+  const std::size_t hw = par::ThreadPool::hardware_workers();
+  EXPECT_EQ(par::resolve_jobs(0), hw);
+  EXPECT_EQ(par::resolve_jobs(3), 3u);
+  EXPECT_EQ(par::pool_workers(0), hw - 1);
+  EXPECT_EQ(par::pool_workers(1), 0u);  // serial: the caller alone
+  EXPECT_EQ(par::pool_workers(4), 3u);
+
+  const char* none[] = {"prog"};
+  EXPECT_EQ(par::cli_jobs(util::Cli(1, none)), hw);
+  const char* three[] = {"prog", "--jobs=3"};
+  EXPECT_EQ(par::cli_jobs(util::Cli(2, three)), 3u);
+  const char* negative[] = {"prog", "--jobs=-1"};
+  EXPECT_THROW(par::cli_jobs(util::Cli(2, negative)), std::runtime_error);
 }
 
 TEST(ThreadPool, OnWorkerThreadDistinguishesWorkersFromCaller) {

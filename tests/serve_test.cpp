@@ -1,7 +1,7 @@
-// fsml::serve unit tests: the bounded ring's overload contract, strict
-// batch validation, the circuit breaker's trip/backoff schedule, and the
-// Server's admission / shedding / expiry / quarantine / drain state
-// machine. The suite names (ServeRing / ServeSession / CircuitBreaker /
+// fsml::serve unit tests: strict batch validation, the circuit breaker's
+// trip/backoff schedule, and the Server's admission / backpressure /
+// shedding / expiry / quarantine / retry / drain state machine, including
+// concurrent clients. The suite names (ServeSession / CircuitBreaker /
 // ServeServer) are part of the TSan ctest filter in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
@@ -18,100 +18,12 @@
 #include "fault/fault.hpp"
 #include "pmu/events.hpp"
 #include "serve/breaker.hpp"
-#include "serve/ring.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 
 namespace {
 
 using namespace fsml;
-
-// ---- BoundedRing: reject-on-full, FIFO, drain-on-shutdown ------------------
-
-TEST(ServeRing, RejectsWhenFullAndRecoversAfterPop) {
-  serve::BoundedRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99)) << "full ring must reject, not grow";
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.capacity(), 4u);
-  const auto popped = ring.try_pop();
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(*popped, 0);  // FIFO
-  EXPECT_TRUE(ring.try_push(99));
-  EXPECT_FALSE(ring.try_push(100));
-}
-
-TEST(ServeRing, EmptyPopReturnsNullopt) {
-  serve::BoundedRing<int> ring(2);
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(ServeRing, FifoUnderConcurrentProducers) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 200;
-  serve::BoundedRing<int> ring(64);
-  std::vector<int> consumed;
-  consumed.reserve(kProducers * kPerProducer);
-
-  std::thread consumer([&] {
-    for (int n = 0; n < kProducers * kPerProducer; ++n) {
-      const auto item = ring.pop_wait();
-      ASSERT_TRUE(item.has_value());
-      consumed.push_back(*item);
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int value = p * 100000 + i;
-        while (!ring.try_push(value)) std::this_thread::yield();
-      }
-    });
-  for (std::thread& t : producers) t.join();
-  consumer.join();
-
-  // Conservation plus per-producer FIFO: each producer's items appear in
-  // the order it pushed them (the global interleaving is scheduling-
-  // dependent, the per-source order is not).
-  ASSERT_EQ(consumed.size(),
-            static_cast<std::size_t>(kProducers * kPerProducer));
-  std::vector<int> next(kProducers, 0);
-  for (const int value : consumed) {
-    const int p = value / 100000;
-    ASSERT_GE(p, 0);
-    ASSERT_LT(p, kProducers);
-    EXPECT_EQ(value % 100000, next[static_cast<std::size_t>(p)]++);
-  }
-}
-
-TEST(ServeRing, CloseStopsAdmissionAndDrainsCompletely) {
-  serve::BoundedRing<int> ring(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(ring.try_push(i));
-  ring.close();
-  EXPECT_TRUE(ring.closed());
-  EXPECT_FALSE(ring.try_push(11)) << "closed ring must not admit";
-  // Every item accepted before close() is still delivered, in order.
-  for (int i = 0; i < 10; ++i) {
-    const auto item = ring.pop_wait();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, i);
-  }
-  EXPECT_FALSE(ring.pop_wait().has_value());  // drained + closed: no block
-}
-
-TEST(ServeRing, CloseWakesBlockedConsumers) {
-  serve::BoundedRing<int> ring(4);
-  std::atomic<bool> woke{false};
-  std::thread consumer([&] {
-    EXPECT_FALSE(ring.pop_wait().has_value());
-    woke = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ring.close();
-  consumer.join();
-  EXPECT_TRUE(woke.load());
-}
 
 // ---- batch validation ------------------------------------------------------
 
@@ -410,7 +322,7 @@ TEST(ServeServer, QueuePressureDegradesNewSessionsToShed) {
   for (std::uint64_t j = 0; j < 3; ++j)
     ASSERT_EQ(server.submit(1, full_batch(), 1).status,
               serve::Submit::kAccepted);
-  EXPECT_EQ(server.state(), serve::ServerState::kShedding);
+  EXPECT_EQ(server.snapshot().state, serve::ServerState::kShedding);
   const serve::AdmitResult late = server.open_session(2, 1);
   EXPECT_EQ(late.admission, serve::Admission::kDegraded);
   server.close_session(2, 2);
@@ -445,6 +357,45 @@ TEST(ServeServer, PersistentOverflowShedsTheSession) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].outcome, serve::Outcome::kShed);
   EXPECT_GE(server.snapshot().retry_afters, serve::kMaxRetryAfter + 1);
+}
+
+TEST(ServeServer, FullQueueRejectsUntilATickFreesASlot) {
+  par::ThreadPool pool(1);
+  serve::ServeConfig config = small_config();
+  config.queue_depth = 4;
+  // No injector: the rejection below comes from a really full queue.
+  serve::Server server(shared_detector(), pool, config);
+  ASSERT_EQ(server.open_session(1, 0).admission, serve::Admission::kAdmitted);
+  ASSERT_EQ(server.open_session(2, 0).admission, serve::Admission::kAdmitted);
+  // Session 1's batch is the oldest; session 2's three fill the queue.
+  ASSERT_EQ(server.submit(1, full_batch(), 0).status, serve::Submit::kAccepted);
+  for (int j = 0; j < 3; ++j)
+    ASSERT_EQ(server.submit(2, full_batch(), 0).status,
+              serve::Submit::kAccepted);
+  const serve::SubmitResult full = server.submit(2, full_batch(), 0);
+  EXPECT_EQ(full.status, serve::Submit::kRetryAfter);
+  EXPECT_GT(full.retry_after_steps, 0u);
+  serve::HealthSnapshot health = server.snapshot();
+  EXPECT_EQ(health.queue_size, 4u);
+  EXPECT_EQ(health.queue_capacity, 4u);
+  EXPECT_EQ(health.retry_afters, 1u);
+
+  // A tick that serves one batch serves the oldest: session 1's, which
+  // leaves session 1 ready, so it is classified in the same tick.
+  server.close_session(1, 1);
+  const auto records = server.tick(1, 1);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].id, 1u);
+  EXPECT_EQ(records[0].outcome, serve::Outcome::kVerdict);
+  EXPECT_EQ(records[0].verdict.repeats, 1u);
+  EXPECT_EQ(server.snapshot().queue_size, 3u);
+
+  // The freed slot takes the retried batch.
+  EXPECT_EQ(server.submit(2, full_batch(), 2).status,
+            serve::Submit::kAccepted);
+  health = server.snapshot();
+  EXPECT_EQ(health.queue_size, 4u);
+  EXPECT_EQ(health.batches_accepted, 5u);
 }
 
 TEST(ServeServer, ClassifyFaultsTripBreakerIntoAbstainOnly) {
@@ -499,7 +450,7 @@ TEST(ServeServer, DrainFinalizesEverySessionAndClosesAdmission) {
   EXPECT_EQ(health.terminal_records(), 3u);
   EXPECT_EQ(health.open_sessions, 0u);
   EXPECT_EQ(server.open_session(9, 100).admission, serve::Admission::kClosed);
-  EXPECT_EQ(server.state(), serve::ServerState::kDraining);
+  EXPECT_EQ(server.snapshot().state, serve::ServerState::kDraining);
 }
 
 // ---- tick edge cases: exact records, in production order -------------------
@@ -723,6 +674,40 @@ TEST(ServeServer, DrainServicesQueuedBatchesBeforeFinalizing) {
   EXPECT_EQ(server.snapshot().queue_size, 0u);
 }
 
+TEST(ServeServer, ClassifyRetrySucceedsOnSecondAttempt) {
+  par::ThreadPool pool(1);
+  fault::FaultPlan plan;
+  plan.seed = 3;
+  plan.throw_rate = 1.0;    // every session's first classify attempt throws,
+  plan.throw_attempts = 1;  // and its retry succeeds
+  const fault::FaultInjector injector(plan);
+  serve::Server faulty(shared_detector(), pool, small_config(), &injector);
+  serve::Server clean(shared_detector(), pool, small_config());
+
+  // More sessions than the breaker's trip count, all in one tick: a fault
+  // the retry absorbs must not count toward the breaker.
+  const std::uint64_t sessions = serve::CircuitBreaker::kTripAfter + 1;
+  for (serve::Server* server : {&faulty, &clean})
+    for (std::uint64_t id = 1; id <= sessions; ++id) {
+      ASSERT_EQ(server->open_session(id, 0).admission,
+                serve::Admission::kAdmitted);
+      ASSERT_EQ(server->submit(id, full_batch(), 0).status,
+                serve::Submit::kAccepted);
+      server->close_session(id, 0);
+    }
+  const auto records = faulty.tick(1, 8);
+  ASSERT_EQ(records.size(), sessions);
+  for (const serve::SessionRecord& r : records)
+    EXPECT_EQ(r.outcome, serve::Outcome::kVerdict) << line(r);
+  EXPECT_EQ(lines(records), lines(clean.tick(1, 8)));
+
+  const serve::HealthSnapshot health = faulty.snapshot();
+  EXPECT_EQ(health.classify_faults, 0u);
+  EXPECT_FALSE(health.breaker_open);
+  EXPECT_EQ(health.breaker_trips, 0);
+  EXPECT_EQ(health.classify_calls, sessions);
+}
+
 // ---- classify timing --------------------------------------------------------
 
 /// Plays one fixed client script against a server, to completion.
@@ -746,13 +731,117 @@ TEST(ServeServer, SnapshotReportsClassifyPercentiles) {
   par::ThreadPool pool(1);
   serve::Server server(shared_detector(), pool, small_config());
   run_script(server);
-  const serve::HealthSnapshot health = server.snapshot();
-  EXPECT_GT(health.classify_calls, 0u);
+  serve::HealthSnapshot health = server.snapshot();
+  EXPECT_EQ(health.classify_calls, 3u);
   EXPECT_GT(health.classify_p50_us, 0.0);
   EXPECT_GE(health.classify_p99_us, health.classify_p50_us);
   EXPECT_NE(health.to_string().find("classify-calls=" +
                                     std::to_string(health.classify_calls)),
             std::string::npos);
+
+  // Past the timing window, every call is still counted; the percentiles
+  // cover the most recent kClassifyWindow calls.
+  serve::Server busy(shared_detector(), pool, small_config());
+  const std::uint64_t calls = serve::kClassifyWindow + 100;
+  for (std::uint64_t id = 0; id < calls; ++id) {
+    ASSERT_EQ(busy.open_session(id, id).admission,
+              serve::Admission::kAdmitted);
+    ASSERT_EQ(busy.submit(id, full_batch(), id).status,
+              serve::Submit::kAccepted);
+    busy.close_session(id, id);
+    ASSERT_EQ(busy.tick(id, 1).size(), 1u);
+  }
+  health = busy.snapshot();
+  EXPECT_EQ(health.classify_calls, calls);
+  EXPECT_EQ(health.verdicts_good + health.verdicts_bad_fs +
+                health.verdicts_bad_ma + health.abstained,
+            calls);
+  EXPECT_GT(health.classify_p50_us, 0.0);
+  EXPECT_GE(health.classify_p99_us, health.classify_p50_us);
+}
+
+// ---- concurrent clients -----------------------------------------------------
+
+TEST(ServeServer, ConcurrentClientsAreConserved) {
+  // Four client threads open, submit to and close disjoint ids while a
+  // fifth thread ticks and the classify fan-out runs on two pool workers.
+  // The caps are small, so clients meet retry-after on opens and submits.
+  constexpr std::uint64_t kClients = 4;
+  constexpr std::uint64_t kSessionsPerClient = 40;
+  par::ThreadPool pool(2);
+  serve::ServeConfig config = small_config();
+  // No timeouts: how fast the ticker runs must not decide which sessions
+  // reach the classifier.
+  config.deadline_steps = 0;
+  config.idle_timeout_steps = 0;
+  serve::Server server(shared_detector(), pool, config);
+  std::atomic<std::uint64_t> clock{0};  // virtual time; the ticker moves it
+  std::atomic<std::uint64_t> clients_done{0};
+
+  std::vector<serve::SessionRecord> records;
+  std::thread ticker([&] {
+    for (;;) {
+      const bool last = clients_done.load() == kClients;
+      for (serve::SessionRecord& r : server.tick(++clock, 2))
+        records.push_back(std::move(r));
+      if (last) break;
+      std::this_thread::yield();
+    }
+    for (serve::SessionRecord& r : server.drain(++clock, 2))
+      records.push_back(std::move(r));
+  });
+  std::vector<std::thread> clients;
+  for (std::uint64_t c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      for (std::uint64_t i = 0; i < kSessionsPerClient; ++i) {
+        const std::uint64_t id = c * kSessionsPerClient + i;
+        serve::Admission a = serve::Admission::kRetryAfter;
+        while ((a = server.open_session(id, clock).admission) ==
+               serve::Admission::kRetryAfter)
+          std::this_thread::yield();
+        EXPECT_TRUE(a == serve::Admission::kAdmitted ||
+                    a == serve::Admission::kDegraded)
+            << "session " << id;
+        // Full-queue rejections retry; after kMaxRetryAfter of them the
+        // session is shed and absorbs its batches.
+        for (int j = 0; j < 2; ++j)
+          while (server.submit(id, full_batch(1.0 + j), clock).status ==
+                 serve::Submit::kRetryAfter)
+            std::this_thread::yield();
+        server.close_session(id, clock);
+      }
+      ++clients_done;
+    });
+  for (std::thread& t : clients) t.join();
+  ticker.join();
+
+  // Every session was admitted, and each got exactly one record.
+  const std::uint64_t sessions = kClients * kSessionsPerClient;
+  std::vector<int> seen(sessions, 0);
+  for (const serve::SessionRecord& r : records) {
+    ASSERT_LT(r.id, sessions);
+    ++seen[r.id];
+  }
+  for (std::uint64_t id = 0; id < sessions; ++id)
+    EXPECT_EQ(seen[id], 1) << "session " << id;
+
+  // FIFO per client: a client queues each session's batches behind its
+  // previous session's, so its classified sessions finalize in the order
+  // it opened them. Shed sessions queue nothing and are exempt.
+  std::vector<std::int64_t> last_classified(kClients, -1);
+  for (const serve::SessionRecord& r : records) {
+    if (r.outcome != serve::Outcome::kVerdict &&
+        r.outcome != serve::Outcome::kAbstained)
+      continue;
+    std::int64_t& last = last_classified[r.id / kSessionsPerClient];
+    EXPECT_GT(static_cast<std::int64_t>(r.id), last);
+    last = static_cast<std::int64_t>(r.id);
+  }
+  const serve::HealthSnapshot health = server.snapshot();
+  EXPECT_EQ(health.admitted, sessions);
+  EXPECT_EQ(health.terminal_records(), sessions);
+  EXPECT_EQ(health.open_sessions, 0u);
+  EXPECT_EQ(health.queue_size, 0u);
 }
 
 }  // namespace

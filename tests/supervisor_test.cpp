@@ -7,10 +7,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -182,64 +179,8 @@ TEST(Supervisor, ConfigValidateRejectsBadValues) {
                std::runtime_error);
 }
 
-// Regression for the CancelToken race window: an *external* cancel that
-// lands after a retry is scheduled (the failed attempt's deadline reset
-// already happened) but before the retry dispatches must put the job in
-// quarantine exactly once — not be silently swallowed by the reset, and
-// not dispatch another attempt. The serve layer tears sessions down
-// through exactly this window.
-TEST(Supervisor, CancelBetweenRetrySchedulingAndDispatchQuarantinesOnce) {
-  par::ThreadPool pool(2);
-  par::SupervisorConfig config = fast_config(3);
-  // A wide, deterministic backoff window: the external cancel below lands
-  // well inside it on any CI machine.
-  config.backoff_base = std::chrono::milliseconds(300);
-  config.backoff_cap = std::chrono::milliseconds(300);
-  par::Supervisor supervisor(pool, config);
-
-  std::atomic<int> calls{0};
-  std::mutex token_mutex;
-  std::condition_variable token_cv;
-  std::optional<par::CancelToken> shared_token;  // copies share the flag
-
-  std::thread canceller([&] {
-    std::unique_lock<std::mutex> lock(token_mutex);
-    token_cv.wait(lock, [&] { return shared_token.has_value(); });
-    par::CancelToken token = *shared_token;
-    lock.unlock();
-    // The supervisor resets the token immediately after the failure, then
-    // sleeps the 300 ms backoff; cancelling 100 ms in hits the window.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    token.cancel();
-  });
-
-  const auto out = supervisor.run(
-      1, [&](std::size_t, par::CancelToken& token, int attempt) -> int {
-        ++calls;
-        if (attempt == 1) {
-          {
-            std::lock_guard<std::mutex> lock(token_mutex);
-            shared_token = token;
-          }
-          token_cv.notify_one();
-          throw std::runtime_error("transient");
-        }
-        return 7;
-      });
-  canceller.join();
-
-  EXPECT_EQ(calls.load(), 1) << "retry dispatched despite cancellation";
-  EXPECT_FALSE(out.results[0].has_value());
-  ASSERT_EQ(out.failures.size(), 1u);
-  EXPECT_EQ(out.failures[0].index, 0u);
-  EXPECT_TRUE(out.failures[0].timed_out);
-  EXPECT_EQ(out.failures[0].error, "cancelled before retry dispatch");
-  EXPECT_EQ(out.retried_attempts, 1u);  // the retry was scheduled, not run
-}
-
-// The inverse guard: a watchdog-style cancel *during* a failed attempt is
-// cleared before the retry, so a transient timeout still gets its retry
-// (the pre-existing semantics the fix must not regress).
+// A watchdog-style cancel *during* a failed attempt is cleared before the
+// retry, so a transient timeout still gets its retry.
 TEST(Supervisor, AttemptTimeCancelStillRetries) {
   par::ThreadPool pool(2);
   par::Supervisor supervisor(pool, fast_config(2));

@@ -106,7 +106,7 @@ int usage() {
       "  serve     run one seeded chaos drill against the streaming\n"
       "            detection service (src/serve) and print its scorecard\n"
       "            --sessions=N      drill clients (default 48, 1..100000)\n"
-      "            --queue-depth=N   bounded ring capacity (default 256)\n"
+      "            --queue-depth=N   queue capacity in batches (default 256)\n"
       "            --max-sessions=N  concurrent session cap (default 1024)\n"
       "            --deadline=N      per-session deadline, virtual steps\n"
       "                              (default 96; 0 disables)\n"
@@ -120,15 +120,6 @@ int usage() {
       "  list      available workloads and mini-programs\n"
       "  events    the modelled Westmere event table (paper Table 2)\n");
   return 2;
-}
-
-std::size_t cli_jobs(const util::Cli& cli) {
-  const std::int64_t jobs = cli.get_int("jobs", 0);
-  if (jobs < 0 || jobs > 4096)
-    throw std::runtime_error("option --jobs expects 0..4096, got " +
-                             std::to_string(jobs));
-  return jobs == 0 ? par::ThreadPool::hardware_workers()
-                   : static_cast<std::size_t>(jobs);
 }
 
 core::FalseSharingDetector load_or_train(const util::Cli& cli) {
@@ -149,7 +140,7 @@ core::FalseSharingDetector load_or_train(const util::Cli& cli) {
                        "to persist one)\n",
                model_path.c_str());
   core::TrainingConfig config = core::TrainingConfig::reduced();
-  config.jobs = cli_jobs(cli);
+  config.jobs = par::cli_jobs(cli);
   core::FalseSharingDetector detector;
   detector.train(core::collect_training_data(config));
   return detector;
@@ -169,7 +160,7 @@ int cmd_train(const util::Cli& cli) {
   core::TrainingConfig config;
   if (cli.get_bool("reduced", false)) config = core::TrainingConfig::reduced();
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  config.jobs = cli_jobs(cli);
+  config.jobs = par::cli_jobs(cli);
 
   core::CollectOptions options;
   options.resume = cli.get_bool("resume", false);
@@ -287,7 +278,7 @@ int cmd_sweep(const util::Cli& cli) {
         cases.push_back({input, opt, t,
                          static_cast<std::uint64_t>(cli.get_int("seed", 7))});
 
-  par::ThreadPool pool(cli_jobs(cli) - 1);
+  par::ThreadPool pool(par::pool_workers(par::cli_jobs(cli)));
   struct CaseResult {
     double seconds = 0.0;
     trainers::Mode verdict = trainers::Mode::kGood;
@@ -327,7 +318,7 @@ core::RobustnessConfig sweep_config_from_cli(const util::Cli& cli) {
   config.min_confidence = cli.get_double_in("confidence", 0.6, 0.0, 1.0);
   config.seed = static_cast<std::uint64_t>(
       cli.get_int_in("seed", 42, 0, std::numeric_limits<std::int64_t>::max()));
-  config.jobs = cli_jobs(cli);
+  config.jobs = par::cli_jobs(cli);
   config.reduced = cli.get_bool("reduced", false);
   return config;
 }
@@ -378,7 +369,7 @@ ml::ZeroPositiveModel load_or_fit_anomaly(const util::Cli& cli) {
                "(use `fsml_analyze train --save-anomaly=%s` to persist one)\n",
                path.c_str(), path.c_str());
   core::TrainingConfig config = core::TrainingConfig::reduced();
-  config.jobs = cli_jobs(cli);
+  config.jobs = par::cli_jobs(cli);
   return core::fit_zero_positive(core::collect_training_data(config));
 }
 
@@ -428,7 +419,7 @@ int cmd_triage(const util::Cli& cli) {
 int cmd_serve(const util::Cli& cli) {
   // Every numeric flag goes through the validated get_*_in getters: an
   // out-of-range --queue-depth is an actionable error at the CLI boundary,
-  // not a logic_error deep inside the ring.
+  // not an exception from deep inside the server.
   serve::DrillConfig config;
   config.sessions = static_cast<std::size_t>(
       cli.get_int_in("sessions", 48, 1, 100000));
@@ -453,7 +444,7 @@ int cmd_serve(const util::Cli& cli) {
       cli.get_int_in("seed", 42, 0, std::numeric_limits<std::int64_t>::max()));
   config.faults.seed = config.seed;
   config.server.seed = config.seed;
-  config.jobs = cli_jobs(cli);
+  config.jobs = par::cli_jobs(cli);
   config.validate();
 
   const core::FalseSharingDetector detector = load_or_train(cli);
