@@ -57,11 +57,8 @@ int main(int argc, char** argv) {
 
       core::CollectOptions options;
       options.injector = &injector;
-      options.supervision.max_attempts = budget;
-      options.supervision.backoff_base = std::chrono::milliseconds(0);
-      options.supervision.backoff_cap = std::chrono::milliseconds(0);
-      if (with_hangs)
-        options.supervision.deadline = std::chrono::milliseconds(2000);
+      options.max_attempts = budget;
+      if (with_hangs) options.deadline = std::chrono::milliseconds(2000);
 
       core::CollectReport report;
       const auto start = std::chrono::steady_clock::now();
@@ -94,7 +91,7 @@ int main(int argc, char** argv) {
     table.render(std::cout);
     std::printf(
         "\nthrows fail the first 2 attempts of an afflicted cell; hangs\n"
-        "spin until the 2 s per-attempt deadline cancels them. Quarantined\n"
+        "sleep until their 2 s per-attempt deadline passes. Quarantined\n"
         "cells are recorded, never fatal; the same plan seed reproduces\n"
         "the same table on any host thread count.\n");
     return 0;

@@ -173,9 +173,4 @@ void Journal::close() {
   }
 }
 
-void Journal::remove() {
-  close();
-  if (!path_.empty()) std::remove(path_.c_str());
-}
-
 }  // namespace fsml::core

@@ -44,16 +44,12 @@ class Journal {
       std::string* note = nullptr);
 
   bool is_open() const { return fd_ >= 0; }
-  const std::string& path() const { return path_; }
 
   /// Appends one record durably (single write + fsync). The payload must
   /// not contain newlines. Safe to call from multiple threads.
   void append(std::size_t index, std::string_view payload);
 
   void close();
-
-  /// Removes the journal file (after its cache has been committed).
-  void remove();
 
  private:
   int fd_ = -1;

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/event_selection.hpp"
 #include "core/journal.hpp"
@@ -18,6 +19,7 @@
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
+#include "util/deadline.hpp"
 #include "util/stats.hpp"
 #include "util/time_format.hpp"
 
@@ -55,13 +57,13 @@ LabeledInstance run_one(const MiniProgram& program, std::uint64_t size,
                         std::uint32_t threads, Mode mode,
                         AccessPattern pattern, int rep,
                         const TrainingConfig& config, bool part_a,
-                        const std::atomic<bool>* cancel = nullptr) {
+                        std::chrono::steady_clock::time_point deadline) {
   TrainerParams params;
   params.mode = mode;
   params.threads = threads;
   params.size = size;
   params.pattern = pattern;
-  params.cancel = cancel;
+  params.deadline = deadline;
   params.seed = run_seed(config.seed, std::string(program.name()), size,
                          threads, mode, pattern, rep);
   const trainers::TrainerRun run =
@@ -348,14 +350,11 @@ TrainingConfig TrainingConfig::reduced() {
 }
 
 TrainingData collect_training_data(const TrainingConfig& config,
-                                   std::ostream* log) {
-  return collect_training_data(config, log, CollectOptions{}, nullptr);
-}
-
-TrainingData collect_training_data(const TrainingConfig& config,
                                    std::ostream* log,
                                    const CollectOptions& options,
                                    CollectReport* report) {
+  if (options.deadline.count() < 0)
+    throw std::runtime_error("CollectOptions: deadline must be >= 0");
   const auto start = std::chrono::steady_clock::now();
 
   std::vector<CollectJob> jobs;
@@ -376,7 +375,6 @@ TrainingData collect_training_data(const TrainingConfig& config,
 
   const std::size_t n_jobs = par::resolve_jobs(config.jobs);
   par::ThreadPool pool(par::pool_workers(n_jobs));
-  par::Supervisor supervisor(pool, options.supervision);
   fault::FaultInjector inert;
   fault::FaultInjector* injector =
       options.injector != nullptr ? options.injector : &inert;
@@ -395,21 +393,25 @@ TrainingData collect_training_data(const TrainingConfig& config,
          << '\n'
          << std::flush;
 
-  auto outcome = supervisor.run(
-      jobs.size(),
-      [&](std::size_t i, par::CancelToken& token, int attempt) {
+  auto outcome = par::supervise(
+      pool, jobs.size(), options.max_attempts,
+      [&](std::size_t i, int attempt) {
         const auto hit = replayed.find(i);
         if (hit != replayed.end()) return parse_instance_row(hit->second);
 
+        // Every attempt gets the whole budget, counted from its own start.
+        const auto deadline =
+            options.deadline.count() > 0
+                ? std::chrono::steady_clock::now() + options.deadline
+                : util::kNoDeadline;
         const CollectJob& job = jobs[i];
         const std::string key = job_key(job);
         injector->maybe_throw("collect.run", key, attempt);
-        if (injector->should_hang(key))
-          injector->hang(token);  // spins until the deadline cancels us
+        if (injector->should_hang(key)) injector->hang(deadline);
 
         LabeledInstance inst =
             run_one(*job.program, job.size, job.threads, job.mode,
-                    job.pattern, job.rep, config, job.part_a, token.flag());
+                    job.pattern, job.rep, config, job.part_a, deadline);
         injector->count_completion();  // may raise the injected mid-sweep
                                        // abort (NonRetryable: sweep stops)
         executed.fetch_add(1, std::memory_order_relaxed);
@@ -543,7 +545,6 @@ TrainingData TrainingData::load_csv(std::istream& is) {
   TrainingData data;
   std::string line;
   util::Crc32 body_crc;
-  bool footer_seen = false;
   const auto next_line = [&](std::string& out) {
     if (!std::getline(is, out)) return false;
     if (out.rfind("# crc32 ", 0) == 0) {
@@ -552,7 +553,6 @@ TrainingData TrainingData::load_csv(std::istream& is) {
                      "malformed CRC footer in training CSV");
       FSML_CHECK_MSG(body_crc.value() == stored,
                      "training CSV CRC mismatch: the cache is corrupt");
-      footer_seen = true;
       return false;
     }
     body_crc.update(out.data(), out.size());
@@ -570,20 +570,13 @@ TrainingData TrainingData::load_csv(std::istream& is) {
     if (line.empty()) continue;
     data.instances.push_back(parse_instance_row(line));
   }
-  // Legacy caches (pre-footer) are still accepted: the row-count census
-  // below catches boundary truncation either way.
-  (void)footer_seen;
   // A file truncated at a row boundary parses cleanly but is still missing
-  // data; the census header pins the expected row count.
+  // data; the census header pins the expected row count. It also guards
+  // legacy caches, which predate the CRC footer.
   FSML_CHECK_MSG(data.instances.size() ==
                      data.census_a.final_total() + data.census_b.final_total(),
                  "training CSV row count does not match its census");
   return data;
-}
-
-TrainingData collect_or_load(const TrainingConfig& config,
-                             const std::string& path, std::ostream* log) {
-  return collect_or_load(config, path, log, CollectOptions{}, nullptr);
 }
 
 TrainingData collect_or_load(const TrainingConfig& config,
@@ -608,7 +601,19 @@ TrainingData collect_or_load(const TrainingConfig& config,
   }
   CollectOptions opts = options;
   if (opts.journal_path.empty()) opts.journal_path = path + ".journal";
+  CollectReport local_report;
+  if (report == nullptr) report = &local_report;
   TrainingData data = collect_training_data(config, log, opts, report);
+  if (!report->quarantined.empty()) {
+    // Every later load would trust a cache of this partial dataset. Keep
+    // the journal instead, so a resume re-runs only the quarantined cells.
+    if (log)
+      *log << "training cache " << path << " not written: "
+           << report->quarantined.size()
+           << " cell(s) quarantined; the journal " << opts.journal_path
+           << " keeps the completed cells for a resume\n";
+    return data;
+  }
 
   std::ostringstream out;
   data.save_csv(out);

@@ -16,6 +16,7 @@
 //    same and neither is useful training signal.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -35,7 +36,7 @@ struct TrainingConfig {
   std::vector<std::uint32_t> thread_counts = {3, 6, 9, 12};
   int reps_good = 3;
   int reps_bad_fs = 2;
-  int reps_bad_ma = 2;       ///< per pattern? no: total, pattern alternates
+  int reps_bad_ma = 2;       ///< all patterns: reps alternate random/strided
   int seq_reps_good = 6;
   int seq_reps_bad_ma = 2;   ///< per access pattern (random, strided)
   bool filter = true;
@@ -102,14 +103,18 @@ struct TrainingData {
   static TrainingData load_csv(std::istream& is);
 };
 
-/// Reliability knobs for a collection sweep (all default-inert: the
-/// two-argument collect_training_data overload behaves exactly as before).
+/// Reliability knobs for a collection sweep. The defaults inject no
+/// faults, set no deadline and keep no journal.
 struct CollectOptions {
   /// Fault-injection schedule for tests/benches; nullptr = no faults.
   /// Non-const because the abort counter advances as jobs complete.
   fault::FaultInjector* injector = nullptr;
-  /// Retry / deadline / backoff policy for the par::Supervisor.
-  par::SupervisorConfig supervision;
+  /// Attempts per job (first run + retries), 1..100. A failed attempt is
+  /// retried at once.
+  int max_attempts = 3;
+  /// Wall-clock budget of each attempt, counted from when that attempt
+  /// starts; zero = no deadline. Negative values are rejected.
+  std::chrono::milliseconds deadline{0};
   /// Append-only progress journal (one fsync'd record per completed job);
   /// empty disables journaling. collect_or_load defaults this to
   /// "<cache>.journal".
@@ -119,7 +124,7 @@ struct CollectOptions {
   bool resume = false;
 };
 
-/// One quarantined job: its cell coordinates plus the supervisor record.
+/// One quarantined job: its cell coordinates plus par::supervise's record.
 struct QuarantinedCell {
   par::JobFailure failure;
   std::string cell;  ///< "program/size/threads/mode/pattern/rep"
@@ -140,18 +145,17 @@ struct CollectReport {
 /// and assembled in job-list order. Progress lines go to `log` if non-null;
 /// writes to `log` are serialized across jobs.
 ///
-/// The supervised overload adds crash safety: per-job deadlines with
-/// cooperative cancellation, bounded retries with decorrelated-jitter
-/// backoff, quarantine of persistently failing cells (recorded in `report`
-/// instead of killing the sweep), and an fsync'd journal so an interrupted
-/// sweep resumes by re-running only missing cells. For a fixed fault
-/// schedule the outcome — rows, census, quarantine set — is deterministic,
-/// and with everything default it is bit-identical to the plain overload.
+/// `options` add crash safety: per-attempt deadlines, bounded retries,
+/// quarantine of persistently failing cells (recorded in `report` instead
+/// of killing the sweep), and an fsync'd journal so an interrupted sweep
+/// resumes by re-running only missing cells. For a fixed fault schedule the
+/// outcome — rows, census, quarantine set — is deterministic, and with
+/// default options no fault is injected, so the rows are those of a clean
+/// sweep. Throws std::runtime_error on a negative deadline or max_attempts
+/// outside 1..100.
 TrainingData collect_training_data(const TrainingConfig& config,
-                                   std::ostream* log = nullptr);
-TrainingData collect_training_data(const TrainingConfig& config,
-                                   std::ostream* log,
-                                   const CollectOptions& options,
+                                   std::ostream* log = nullptr,
+                                   const CollectOptions& options = {},
                                    CollectReport* report = nullptr);
 
 /// Loads the cache at `path` if present and well-formed, otherwise collects
@@ -160,13 +164,13 @@ TrainingData collect_training_data(const TrainingConfig& config,
 /// instead of crashing or silently loading bad data. The cache is written
 /// through util::AtomicFile — an interrupt can never leave a torn artifact
 /// — and the collection journals to "<cache>.journal" (removed once the
-/// cache commits), so `options.resume` continues an interrupted sweep.
+/// cache commits), so `options.resume` continues an interrupted sweep. A
+/// sweep that quarantined cells returns its rows but commits no cache and
+/// keeps the journal, so a resume re-runs only the quarantined cells.
 TrainingData collect_or_load(const TrainingConfig& config,
                              const std::string& path,
-                             std::ostream* log = nullptr);
-TrainingData collect_or_load(const TrainingConfig& config,
-                             const std::string& path, std::ostream* log,
-                             const CollectOptions& options,
+                             std::ostream* log = nullptr,
+                             const CollectOptions& options = {},
                              CollectReport* report = nullptr);
 
 }  // namespace fsml::core

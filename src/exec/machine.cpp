@@ -105,14 +105,14 @@ RunResult Machine::run(sim::Cycles max_cycles) {
   RunResult result;
   sim::RawCounters last_snapshot;
   sim::Cycles next_boundary = slice_cycles_;
-  std::uint32_t cancel_poll = 0;
+  const bool has_deadline = deadline_ != util::kNoDeadline;
+  std::uint32_t deadline_poll = 0;
   while (heap_size > 0) {
-    // Cooperative cancellation: poll the flag every 4096 scheduler steps —
-    // often enough to honour a deadline promptly, rare enough to stay off
-    // the hot path.
-    if (cancel_flag_ != nullptr && (++cancel_poll & 0xFFFu) == 0 &&
-        cancel_flag_->load(std::memory_order_relaxed))
-      throw Cancelled();
+    // Read the clock every 4096 scheduler steps — often enough to honour a
+    // deadline promptly, rare enough to stay off the hot path.
+    if (has_deadline && (++deadline_poll & 0xFFFu) == 0 &&
+        std::chrono::steady_clock::now() >= deadline_)
+      throw util::DeadlineExceeded();
     ThreadState* const next = threads_[heap[0].tid].get();
 
     // Slice sampling: when the global time front (the min clock) crosses a

@@ -23,28 +23,20 @@
 // and keep host-side state in scope.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "exec/arena.hpp"
 #include "exec/task.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/memory_system.hpp"
+#include "util/deadline.hpp"
 #include "util/rng.hpp"
 
 namespace fsml::exec {
-
-/// Thrown by Machine::run() when a cancellation flag set via
-/// set_cancel_flag() fires mid-simulation (cooperative cancellation; see
-/// par::Supervisor's per-job deadlines).
-class Cancelled : public std::runtime_error {
- public:
-  Cancelled() : std::runtime_error("simulation cancelled") {}
-};
 
 class Machine;
 
@@ -226,11 +218,13 @@ class Machine {
     return static_cast<std::uint32_t>(threads_.size());
   }
 
-  /// Cooperative cancellation: the scheduler inner loop polls `flag` every
-  /// few thousand steps and unwinds run() with exec::Cancelled once it goes
-  /// true. The flag must outlive run(); nullptr (default) disables polling.
-  /// This is how par::Supervisor deadlines reach a running simulation.
-  void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
+  /// Wall-clock deadline of run(): the scheduler reads the clock every
+  /// 4096 steps and unwinds run() with util::DeadlineExceeded once it has
+  /// passed. util::kNoDeadline (default) never reads the clock. This is how
+  /// a collection attempt's deadline reaches a running simulation.
+  void set_deadline(std::chrono::steady_clock::time_point deadline) {
+    deadline_ = deadline;
+  }
 
   /// Runs all spawned threads to completion. One-shot.
   /// Throws if any core exceeds `max_cycles` (deadlock guard) or a kernel
@@ -262,7 +256,7 @@ class Machine {
   ThreadState* running_ = nullptr;
   bool ran_ = false;
   sim::Cycles slice_cycles_ = 0;
-  const std::atomic<bool>* cancel_flag_ = nullptr;
+  std::chrono::steady_clock::time_point deadline_ = util::kNoDeadline;
 };
 
 }  // namespace fsml::exec

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "util/deadline.hpp"
 #include "util/rng.hpp"
 
 namespace fsml::fault {
@@ -48,14 +49,16 @@ bool FaultInjector::should_hang(std::string_view key) const {
          plan_.hang_keys.end();
 }
 
-void FaultInjector::hang(const par::CancelToken& token) const {
+void FaultInjector::hang(
+    std::chrono::steady_clock::time_point deadline) const {
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(600);
-  while (!token.cancelled()) {
-    if (std::chrono::steady_clock::now() >= give_up) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  if (deadline < give_up) {
+    std::this_thread::sleep_until(deadline);
+    throw util::DeadlineExceeded();
   }
-  throw par::CancelledError();
+  std::this_thread::sleep_until(give_up);
+  throw InjectedFault("injected hang gave up after 600 s");
 }
 
 void FaultInjector::count_completion() {

@@ -10,10 +10,11 @@
 // Fault kinds, by site in the collection path:
 //  * throws   — `collect.run` raises InjectedFault before the simulation;
 //               transient (the first `throw_attempts` attempts fail, the
-//               retry succeeds), so they exercise the Supervisor's backoff;
-//  * hangs    — the job spins cooperatively until its CancelToken fires
-//               (deadline overrun). Keys listed in `hang_keys` hang on every
-//               attempt and therefore end up quarantined;
+//               retry succeeds), so they exercise par::supervise's retries;
+//  * hangs    — the job sleeps until its attempt's deadline and then throws
+//               util::DeadlineExceeded (deadline overrun). Keys listed in
+//               `hang_keys` hang on every attempt and therefore end up
+//               quarantined as timed out;
 //  * aborts   — `count_completion()` raises InjectedAbort (NonRetryable)
 //               after `abort_after` completed jobs: an in-process stand-in
 //               for `kill -9` mid-sweep, used by the crash/resume tests and
@@ -35,6 +36,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -106,11 +108,11 @@ class FaultInjector {
   /// `hang_keys` hangs on every attempt.
   bool should_hang(std::string_view key) const;
 
-  /// Cooperative hang: sleeps until `token` is cancelled (with a 600 s
-  /// safety cap so a missing watchdog cannot wedge a test run), then
-  /// unwinds with CancelledError. The cap must exceed every test deadline:
-  /// a hang that gives up first is not reported as timed out.
-  [[noreturn]] void hang(const par::CancelToken& token) const;
+  /// Injected hang: sleeps until `deadline`, then throws
+  /// util::DeadlineExceeded. A 600 s cap keeps a hang without a deadline
+  /// from wedging a test run; a hang that reaches the cap first throws
+  /// InjectedFault instead, so it is not reported as timed out.
+  [[noreturn]] void hang(std::chrono::steady_clock::time_point deadline) const;
 
   /// Counts one completed job; raises InjectedAbort on the abort_after'th.
   void count_completion();

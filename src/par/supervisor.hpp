@@ -1,15 +1,14 @@
-// Supervisor: fault-tolerant execution of a job batch on a ThreadPool.
+// supervise: fault-tolerant execution of a job batch on a ThreadPool.
 //
-// parallel_for (below this layer) guarantees *placement* determinism; the
-// Supervisor adds the reliability contract a long sweep needs:
+// parallel_for (below this layer) guarantees *placement* determinism;
+// supervise adds the reliability contract a long sweep needs:
 //
-//  * per-job deadlines — each attempt gets a CancelToken that a watchdog
-//    thread flips once the deadline passes; jobs poll it cooperatively
-//    (the sim inner loop polls every few thousand scheduler steps, see
-//    exec::Machine::set_cancel_flag) and unwind with CancelledError;
-//  * bounded retries — a failed attempt is retried up to max_attempts with
-//    exponential backoff and decorrelated jitter (deterministically seeded
-//    per (job, attempt), so sleep schedules are reproducible);
+//  * bounded retries — a failed attempt is retried at once, up to
+//    max_attempts in all;
+//  * deadlines — each attempt computes its own deadline and checks it (the
+//    sim inner loop reads the clock every few thousand scheduler steps, see
+//    exec::Machine::set_deadline) and unwinds with util::DeadlineExceeded,
+//    which counts as one failed attempt;
 //  * quarantine — a job that exhausts its budget yields a recorded
 //    JobFailure instead of killing the sweep; results stay order-preserving
 //    and the set of quarantined jobs is deterministic for a fixed fault
@@ -25,84 +24,33 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <map>
-#include <memory>
+#include <cstddef>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "par/parallel_for.hpp"
 #include "par/thread_pool.hpp"
-#include "util/rng.hpp"
+#include "util/deadline.hpp"
 
 namespace fsml::par {
 
 /// Tag base: exceptions that also derive this are never retried or
-/// quarantined — the Supervisor stops the sweep and rethrows them.
+/// quarantined — supervise stops the sweep and rethrows them.
 class NonRetryable {
  public:
   virtual ~NonRetryable() = default;
-};
-
-/// Thrown by cooperative jobs when their CancelToken fires (deadline).
-class CancelledError : public std::runtime_error {
- public:
-  CancelledError() : std::runtime_error("job cancelled: deadline exceeded") {}
-};
-
-/// Shared cancellation flag handed to each job attempt. Copyable; all
-/// copies observe the same flag. cancel() is a request — jobs honour it by
-/// polling (poll() or the raw flag() wired into a sim loop).
-class CancelToken {
- public:
-  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void cancel() { flag_->store(true, std::memory_order_relaxed); }
-  void reset() { flag_->store(false, std::memory_order_relaxed); }
-  bool cancelled() const { return flag_->load(std::memory_order_relaxed); }
-
-  /// Throws CancelledError if cancellation was requested.
-  void poll() const {
-    if (cancelled()) throw CancelledError();
-  }
-
-  /// The raw flag, for code that polls without depending on fsml::par
-  /// (e.g. exec::Machine's scheduler loop).
-  const std::atomic<bool>* flag() const { return flag_.get(); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
-
-struct SupervisorConfig {
-  /// Attempts per job (first run + retries). 1 = no retries.
-  int max_attempts = 3;
-  /// Wall-clock budget per attempt; zero disables the watchdog entirely
-  /// (no watchdog thread is spawned).
-  std::chrono::milliseconds deadline{0};
-  /// Exponential backoff with decorrelated jitter: attempt k sleeps
-  /// uniform(base, min(cap, prev * 3)) milliseconds, deterministically
-  /// drawn from (a fixed seed, job index, k).
-  std::chrono::milliseconds backoff_base{2};
-  std::chrono::milliseconds backoff_cap{250};
-
-  /// Throws std::runtime_error on out-of-range values.
-  void validate() const;
 };
 
 /// One quarantined job: the sweep completed without it.
 struct JobFailure {
   std::size_t index = 0;   ///< job-list index
   int attempts = 0;        ///< attempts consumed (== max_attempts)
-  bool timed_out = false;  ///< last attempt exceeded its deadline
+  bool timed_out = false;  ///< last attempt threw util::DeadlineExceeded
   std::string error;       ///< what() of the last failure
 };
 
@@ -118,109 +66,92 @@ struct Supervised {
   bool all_ok() const { return failures.empty(); }
 };
 
-class Supervisor {
- public:
-  explicit Supervisor(ThreadPool& pool, SupervisorConfig config = {});
-  ~Supervisor();
+namespace detail {
 
-  Supervisor(const Supervisor&) = delete;
-  Supervisor& operator=(const Supervisor&) = delete;
-
-  const SupervisorConfig& config() const { return config_; }
-
-  /// Runs fn(index, token, attempt) for every index in [0, n), supervised
-  /// (attempt counts from 1 — fault schedules and logging key off it).
-  /// Results are placed by index. Throws only for NonRetryable /
-  /// std::logic_error escalations; every other failure is retried then
-  /// quarantined.
-  template <class Fn>
-  auto run(std::size_t n, Fn&& fn)
-      -> Supervised<std::decay_t<decltype(fn(std::size_t{0},
-                                             std::declval<CancelToken&>(),
-                                             1))>> {
-    using T = std::decay_t<decltype(fn(std::size_t{0},
-                                       std::declval<CancelToken&>(), 1))>;
-    config_.validate();
-    Supervised<T> out;
-    out.results.resize(n);
-
-    std::mutex record_mutex;               // guards failures + fatal slot
-    std::exception_ptr fatal;              // first fatal by job index
-    std::size_t fatal_index = n;
-    std::atomic<bool> fatal_seen{false};
-    std::atomic<std::size_t> retried{0};
-
-    parallel_for(pool_, n, [&](std::size_t i) {
-      // A fatal error elsewhere "crashes" the sweep: jobs that have not
-      // started yet are skipped (their slots stay empty).
-      if (fatal_seen.load(std::memory_order_relaxed)) return;
-
-      CancelToken token;
-      for (int attempt = 1;; ++attempt) {
-        const std::uint64_t ticket = arm_watch(token);
-        try {
-          out.results[i].emplace(fn(i, token, attempt));
-          disarm_watch(ticket);
-          return;
-        } catch (...) {
-          disarm_watch(ticket);
-          const std::exception_ptr error = std::current_exception();
-          if (is_fatal(error)) {
-            std::lock_guard<std::mutex> lock(record_mutex);
-            fatal_seen.store(true, std::memory_order_relaxed);
-            if (!fatal || i < fatal_index) {
-              fatal = error;
-              fatal_index = i;
-            }
-            return;
-          }
-          if (attempt >= config_.max_attempts) {
-            std::lock_guard<std::mutex> lock(record_mutex);
-            out.failures.push_back({i, attempt, token.cancelled(),
-                                    describe(error)});
-            return;
-          }
-          retried.fetch_add(1, std::memory_order_relaxed);
-          // Clear this attempt's deadline cancellation so the retry starts
-          // clean.
-          token.reset();
-          backoff_sleep(i, attempt);
-        }
-      }
-    });
-
-    if (fatal) std::rethrow_exception(fatal);
-    std::sort(out.failures.begin(), out.failures.end(),
-              [](const JobFailure& a, const JobFailure& b) {
-                return a.index < b.index;
-              });
-    out.retried_attempts = retried.load();
-    return out;
-  }
-
- private:
-  /// True for NonRetryable-derived and std::logic_error exceptions.
-  static bool is_fatal(const std::exception_ptr& error);
-  static std::string describe(const std::exception_ptr& error);
-
-  /// Registers `token` with the watchdog; returns a ticket for disarm.
-  /// No-op (returns 0) when the deadline is disabled.
-  std::uint64_t arm_watch(const CancelToken& token);
-  void disarm_watch(std::uint64_t ticket);
-  void backoff_sleep(std::size_t index, int attempt) const;
-  void watchdog_loop();
-
-  ThreadPool& pool_;
-  SupervisorConfig config_;
-
-  std::mutex watch_mutex_;
-  std::condition_variable watch_cv_;
-  std::map<std::uint64_t, std::pair<std::chrono::steady_clock::time_point,
-                                    CancelToken>>
-      watches_;
-  std::uint64_t next_ticket_ = 1;
-  bool watchdog_stop_ = false;
-  std::thread watchdog_;
+/// A failed attempt as supervise sees it.
+struct AttemptError {
+  bool fatal = false;      ///< NonRetryable or std::logic_error
+  bool timed_out = false;  ///< util::DeadlineExceeded
+  std::string what;
 };
+
+inline AttemptError inspect(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const NonRetryable&) {
+    return {true, false, {}};
+  } catch (const std::logic_error&) {
+    return {true, false, {}};  // FSML_CHECK failures are bugs, not faults
+  } catch (const util::DeadlineExceeded& e) {
+    return {false, true, e.what()};
+  } catch (const std::exception& e) {
+    return {false, false, e.what()};
+  } catch (...) {
+    return {false, false, "unknown error"};
+  }
+}
+
+}  // namespace detail
+
+/// Runs fn(index, attempt) for every index in [0, n) on `pool` (attempt
+/// counts from 1 — fault schedules and logging key off it). Results are
+/// placed by index. Throws std::runtime_error unless 1 <= max_attempts <=
+/// 100, and rethrows the lowest-index NonRetryable / std::logic_error
+/// escalation; every other failure is retried, then quarantined.
+template <class Fn>
+auto supervise(ThreadPool& pool, std::size_t n, int max_attempts, Fn&& fn)
+    -> Supervised<std::decay_t<decltype(fn(std::size_t{0}, 1))>> {
+  using T = std::decay_t<decltype(fn(std::size_t{0}, 1))>;
+  if (max_attempts < 1 || max_attempts > 100)
+    throw std::runtime_error("par::supervise: max_attempts must be 1..100");
+  Supervised<T> out;
+  out.results.resize(n);
+
+  std::mutex record_mutex;               // guards failures + fatal slot
+  std::exception_ptr fatal;              // first fatal by job index
+  std::size_t fatal_index = n;
+  std::atomic<bool> fatal_seen{false};
+  std::atomic<std::size_t> retried{0};
+
+  parallel_for(pool, n, [&](std::size_t i) {
+    // A fatal error elsewhere "crashes" the sweep: jobs that have not
+    // started yet are skipped (their slots stay empty).
+    if (fatal_seen.load(std::memory_order_relaxed)) return;
+
+    for (int attempt = 1;; ++attempt) {
+      try {
+        out.results[i].emplace(fn(i, attempt));
+        return;
+      } catch (...) {
+        const std::exception_ptr error = std::current_exception();
+        detail::AttemptError failed = detail::inspect(error);
+        if (failed.fatal) {
+          std::lock_guard<std::mutex> lock(record_mutex);
+          fatal_seen.store(true, std::memory_order_relaxed);
+          if (!fatal || i < fatal_index) {
+            fatal = error;
+            fatal_index = i;
+          }
+          return;
+        }
+        if (attempt >= max_attempts) {
+          std::lock_guard<std::mutex> lock(record_mutex);
+          out.failures.push_back(
+              {i, attempt, failed.timed_out, std::move(failed.what)});
+          return;
+        }
+        retried.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+
+  if (fatal) std::rethrow_exception(fatal);
+  std::sort(out.failures.begin(), out.failures.end(),
+            [](const JobFailure& a, const JobFailure& b) {
+              return a.index < b.index;
+            });
+  out.retried_attempts = retried.load();
+  return out;
+}
 
 }  // namespace fsml::par

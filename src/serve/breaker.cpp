@@ -7,8 +7,7 @@
 namespace fsml::serve {
 
 std::uint64_t CircuitBreaker::backoff_steps() const {
-  // Decorrelated jitter in virtual steps, seeded by (seed, trip count) — a
-  // copy of the sleep policy par::Supervisor applies between retries.
+  // Decorrelated jitter in virtual steps, seeded by (seed, trip count).
   double ceiling = static_cast<double>(kBackoffBaseSteps);
   for (int k = 1; k < trips_; ++k)
     ceiling = std::min(ceiling * 3.0, static_cast<double>(kBackoffCapSteps));

@@ -7,10 +7,9 @@
 // backoff the breaker half-opens and admits a single probe; a successful
 // probe closes it, a failed probe re-opens it with a longer backoff.
 //
-// The backoff copies par::Supervisor's decorrelated-jitter policy rather
-// than reusing it — uniform(base, min(cap, base * 3^trips)) — because it is
-// measured in the server's *virtual steps*, not milliseconds, and drawn
-// deterministically from (seed, trip count), so a drill's breaker
+// The backoff is decorrelated jitter, uniform(base, min(cap, base *
+// 3^trips)), measured in the server's *virtual steps*, not milliseconds,
+// and drawn deterministically from (seed, trip count), so a drill's breaker
 // trajectory is a pure function of the fault schedule.
 #pragma once
 

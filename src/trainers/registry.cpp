@@ -94,7 +94,7 @@ TrainerRun run_trainer(const MiniProgram& program, const TrainerParams& params,
   }
   exec::Machine machine(config, params.seed);
   machine.set_thread_placement(params.placement);
-  machine.set_cancel_flag(params.cancel);
+  machine.set_deadline(params.deadline);
   program.build(machine, params);
   FSML_CHECK(machine.num_threads() == params.threads);
 

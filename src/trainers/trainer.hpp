@@ -14,7 +14,7 @@
 // build-run-snapshot cycle.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +24,7 @@
 #include "exec/machine.hpp"
 #include "pmu/counters.hpp"
 #include "sim/machine_config.hpp"
+#include "util/deadline.hpp"
 
 namespace fsml::trainers {
 
@@ -56,10 +57,9 @@ struct TrainerParams {
   /// 0 first (default, matches single-socket behavior), scatter round-robins
   /// threads across sockets so per-thread data contends over QPI.
   exec::ThreadPlacement placement = exec::ThreadPlacement::kPacked;
-  /// Cooperative cancellation flag wired into Machine::set_cancel_flag()
-  /// (per-job deadlines under par::Supervisor). Must outlive the run;
-  /// nullptr disables polling.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Wall-clock deadline of the run, passed to Machine::set_deadline(): a
+  /// run still going at this time throws util::DeadlineExceeded.
+  std::chrono::steady_clock::time_point deadline = util::kNoDeadline;
 };
 
 class MiniProgram {

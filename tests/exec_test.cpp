@@ -3,15 +3,14 @@
 // the synchronization primitives' atomicity under the DES scheduler.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "exec/machine.hpp"
 #include "exec/sync.hpp"
 #include "sim/machine_config.hpp"
 #include "util/check.hpp"
+#include "util/deadline.hpp"
 
 namespace {
 
@@ -224,36 +223,32 @@ TEST(ParallelMachine, FirstKernelExceptionWinsLikeSerial) {
   }
 }
 
-TEST(ParallelCancellation, PresetFlagCancelsPromptly) {
+TEST(MachineDeadline, PastDeadlineCancelsPromptly) {
   exec::Machine m(sim::MachineConfig::tiny(4), 1);
-  std::atomic<bool> cancel{true};
-  m.set_cancel_flag(&cancel);
+  m.set_deadline(std::chrono::steady_clock::now());
   const sim::Addr base = m.arena().alloc_line_aligned(64 * 4);
   for (std::uint32_t t = 0; t < 4; ++t) {
     m.spawn([a = base + 64 * t](exec::ThreadCtx& ctx) -> exec::SimTask {
       for (int i = 0; i < 2'000'000; ++i) co_await ctx.load(a);
     });
   }
-  EXPECT_THROW(m.run(), exec::Cancelled);
+  EXPECT_THROW(m.run(), util::DeadlineExceeded);
 }
 
-TEST(ParallelCancellation, MidRunFlagStopsAnUnboundedKernel) {
-  // The kernels never finish; only the polled flag ends the run.
+TEST(MachineDeadline, DeadlineStopsAnUnboundedKernel) {
+  // The kernels never finish; only the deadline ends the run.
   exec::Machine m(sim::MachineConfig::tiny(4), 1);
-  std::atomic<bool> cancel{false};
-  m.set_cancel_flag(&cancel);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  m.set_deadline(deadline);
   const sim::Addr base = m.arena().alloc_line_aligned(64 * 4);
   for (std::uint32_t t = 0; t < 4; ++t) {
     m.spawn([a = base + 64 * t](exec::ThreadCtx& ctx) -> exec::SimTask {
       for (;;) co_await ctx.load(a);
     });
   }
-  std::thread trigger([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    cancel.store(true);
-  });
-  EXPECT_THROW(m.run(), exec::Cancelled);
-  trigger.join();
+  EXPECT_THROW(m.run(), util::DeadlineExceeded);
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
 }
 
 // ---- sync primitives ------------------------------------------------------------

@@ -2,7 +2,7 @@
 // corruption recovery) and the end-to-end crash/resume contract — a sweep
 // killed mid-flight by an injected abort must resume to a cache that is
 // byte-identical to an uninterrupted run. Journal/Resume suites run under
-// TSan in CI alongside the supervisor tests.
+// TSan in CI alongside the Supervisor tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,13 @@ core::TrainingConfig tiny_config() {
   return config;
 }
 
+TEST(CollectOptions, NegativeDeadlineIsRejected) {
+  core::CollectOptions options;
+  options.deadline = std::chrono::milliseconds(-1);
+  EXPECT_THROW(core::collect_training_data(tiny_config(), nullptr, options),
+               std::runtime_error);
+}
+
 std::string cell_key(const trainers::MiniProgram& program, std::uint64_t size,
                      std::uint32_t threads, trainers::Mode mode,
                      trainers::AccessPattern pattern, int rep) {
@@ -205,25 +213,29 @@ TEST_F(ResumeFiles, FaultedSweepQuarantinesOnlyTheFaultedCells) {
 
   core::CollectOptions options;
   options.injector = &injector;
-  options.supervision.max_attempts = 2;
+  options.max_attempts = 2;
   // Only the injected hangs may reach the deadline. No legitimate cell can
   // take longer than the whole clean sweep, so twice its wall time covers
-  // slow hosts and sanitizer builds; 2 s is the floor on fast ones. The
-  // hangs themselves give up only after FaultInjector::hang's 600 s cap.
-  options.supervision.deadline =
-      std::max(std::chrono::milliseconds(2000), 2 * clean_wall);
-  options.supervision.backoff_base = std::chrono::milliseconds(0);
-  options.supervision.backoff_cap = std::chrono::milliseconds(0);
+  // slow hosts and sanitizer builds; 2 s is the floor on fast ones.
+  options.deadline = std::max(std::chrono::milliseconds(2000), 2 * clean_wall);
   core::CollectReport report;
+  const auto faulted_start = std::chrono::steady_clock::now();
   const core::TrainingData faulted =
       core::collect_training_data(config, nullptr, options, &report);
+  const auto faulted_wall = std::chrono::steady_clock::now() - faulted_start;
 
-  // The two hang cells — and nothing else — were quarantined.
+  // The two hang cells — and nothing else — were quarantined, each timed
+  // out on both of its attempts.
   ASSERT_EQ(report.quarantined.size(), 2u);
-  EXPECT_EQ(report.quarantined[0].cell, plan.hang_keys[0]);
-  EXPECT_EQ(report.quarantined[1].cell, plan.hang_keys[1]);
-  EXPECT_TRUE(report.quarantined[0].failure.timed_out);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(report.quarantined[k].cell, plan.hang_keys[k]);
+    EXPECT_TRUE(report.quarantined[k].failure.timed_out);
+    EXPECT_EQ(report.quarantined[k].failure.attempts, 2);
+  }
   EXPECT_GT(report.retried_attempts, 0u);  // the injected throws were retried
+  // Each attempt counts its deadline from its own start, so a hang cell's
+  // two attempts take at least two deadlines end to end.
+  EXPECT_GE(faulted_wall, 2 * options.deadline);
 
   // Every surviving row is bit-identical to the clean run's row, in order.
   ASSERT_EQ(clean.instances.size(), faulted.instances.size() + 2);
@@ -269,6 +281,41 @@ TEST_F(ResumeFiles, AbortedSweepResumesToBitIdenticalCache) {
 
   EXPECT_EQ(read_file(cache_), clean_bytes);      // byte-identical cache
   EXPECT_FALSE(file_exists(cache_ + ".journal"));  // consumed on commit
+}
+
+TEST_F(ResumeFiles, QuarantinedSweepCommitsNoCacheAndResumes) {
+  const core::TrainingConfig config = tiny_config();
+  core::collect_or_load(config, clean_);
+  const std::string clean_bytes = read_file(clean_);
+  ASSERT_FALSE(clean_bytes.empty());
+
+  // Transient throws with no retry: every afflicted cell is quarantined.
+  fault::FaultPlan plan;
+  plan.seed = 7;
+  plan.throw_rate = 0.3;
+  fault::FaultInjector injector(plan);
+  core::CollectOptions options;
+  options.injector = &injector;
+  options.max_attempts = 1;
+  core::CollectReport faulted;
+  std::ostringstream log;
+  core::collect_or_load(config, cache_, &log, options, &faulted);
+  ASSERT_FALSE(faulted.quarantined.empty());
+  EXPECT_FALSE(file_exists(cache_));  // a partial dataset is never cached
+  EXPECT_TRUE(file_exists(cache_ + ".journal"));  // completed cells survive
+  EXPECT_NE(log.str().find("not written"), std::string::npos);
+
+  // A fault-free resume runs exactly the quarantined cells and commits the
+  // cache a clean sweep commits.
+  core::CollectOptions resume;
+  resume.resume = true;
+  core::CollectReport report;
+  core::collect_or_load(config, cache_, nullptr, resume, &report);
+  EXPECT_TRUE(report.quarantined.empty());
+  EXPECT_EQ(report.executed, faulted.quarantined.size());
+  EXPECT_EQ(report.replayed + report.executed, report.total_jobs);
+  EXPECT_EQ(read_file(cache_), clean_bytes);
+  EXPECT_FALSE(file_exists(cache_ + ".journal"));
 }
 
 TEST_F(ResumeFiles, CorruptedCacheIsRejectedAndRecollected) {

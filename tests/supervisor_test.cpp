@@ -1,4 +1,4 @@
-// fsml::par::Supervisor + fsml::fault unit tests: the reliability contract
+// fsml::par::supervise + fsml::fault unit tests: the reliability contract
 // on top of the deterministic ThreadPool layer. Retry/quarantine/deadline
 // outcomes must be pure functions of the fault schedule, never of host
 // scheduling — several tests assert identical outcomes across pool sizes.
@@ -10,31 +10,24 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "par/supervisor.hpp"
 #include "par/thread_pool.hpp"
+#include "util/deadline.hpp"
 
 namespace {
 
 namespace par = fsml::par;
 namespace fault = fsml::fault;
-
-par::SupervisorConfig fast_config(int max_attempts) {
-  par::SupervisorConfig config;
-  config.max_attempts = max_attempts;
-  config.backoff_base = std::chrono::milliseconds(0);
-  config.backoff_cap = std::chrono::milliseconds(0);
-  return config;
-}
+namespace util = fsml::util;
+using Clock = std::chrono::steady_clock;
 
 TEST(Supervisor, AllSucceedFirstAttempt) {
   par::ThreadPool pool(3);
-  par::Supervisor supervisor(pool, fast_config(3));
-  const auto out = supervisor.run(
-      100, [](std::size_t i, par::CancelToken&, int) { return i * i; });
+  const auto out = par::supervise(
+      pool, 100, 3, [](std::size_t i, int) { return i * i; });
   ASSERT_TRUE(out.all_ok());
   EXPECT_EQ(out.retried_attempts, 0u);
   for (std::size_t i = 0; i < 100; ++i) {
@@ -45,10 +38,9 @@ TEST(Supervisor, AllSucceedFirstAttempt) {
 
 TEST(Supervisor, RetriesTransientFailures) {
   par::ThreadPool pool(3);
-  par::Supervisor supervisor(pool, fast_config(3));
   // Every third index fails on its first two attempts, then succeeds.
-  const auto out = supervisor.run(
-      30, [](std::size_t i, par::CancelToken&, int attempt) {
+  const auto out =
+      par::supervise(pool, 30, 3, [](std::size_t i, int attempt) {
         if (i % 3 == 0 && attempt <= 2)
           throw std::runtime_error("transient");
         return static_cast<int>(i);
@@ -61,12 +53,10 @@ TEST(Supervisor, RetriesTransientFailures) {
 
 TEST(Supervisor, QuarantinesPersistentFailures) {
   par::ThreadPool pool(4);
-  par::Supervisor supervisor(pool, fast_config(2));
-  const auto out = supervisor.run(
-      50, [](std::size_t i, par::CancelToken&, int) -> int {
-        if (i == 7 || i == 31) throw std::runtime_error("always broken");
-        return static_cast<int>(i);
-      });
+  const auto out = par::supervise(pool, 50, 2, [](std::size_t i, int) -> int {
+    if (i == 7 || i == 31) throw std::runtime_error("always broken");
+    return static_cast<int>(i);
+  });
   ASSERT_EQ(out.failures.size(), 2u);
   EXPECT_EQ(out.failures[0].index, 7u);   // sorted by index
   EXPECT_EQ(out.failures[1].index, 31u);
@@ -76,16 +66,18 @@ TEST(Supervisor, QuarantinesPersistentFailures) {
   EXPECT_FALSE(out.results[7].has_value());
   EXPECT_FALSE(out.results[31].has_value());
   // The sweep completed around the quarantined jobs.
-  for (std::size_t i = 0; i < 50; ++i)
-    if (i != 7 && i != 31) EXPECT_EQ(*out.results[i], static_cast<int>(i));
+  for (std::size_t i = 0; i < 50; ++i) {
+    if (i != 7 && i != 31) {
+      EXPECT_EQ(*out.results[i], static_cast<int>(i));
+    }
+  }
 }
 
 TEST(Supervisor, QuarantineDeterministicAcrossPoolSizes) {
   const auto run_with = [](std::size_t workers) {
     par::ThreadPool pool(workers);
-    par::Supervisor supervisor(pool, fast_config(2));
-    const auto out = supervisor.run(
-        60, [](std::size_t i, par::CancelToken&, int attempt) -> int {
+    const auto out =
+        par::supervise(pool, 60, 2, [](std::size_t i, int attempt) -> int {
           if (i % 7 == 3) throw std::runtime_error("persistent");
           if (i % 5 == 0 && attempt == 1)
             throw std::runtime_error("transient");
@@ -105,17 +97,14 @@ TEST(Supervisor, QuarantineDeterministicAcrossPoolSizes) {
 
 TEST(Supervisor, DeadlineCancelsHangingJob) {
   par::ThreadPool pool(2);
-  par::SupervisorConfig config = fast_config(1);
-  config.deadline = std::chrono::milliseconds(30);
-  par::Supervisor supervisor(pool, config);
-  const auto out = supervisor.run(
-      8, [](std::size_t i, par::CancelToken& token, int) -> int {
-        if (i == 3) {
-          // Cooperative hang: spins until the watchdog flips the token.
-          while (!token.cancelled())
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          token.poll();  // throws CancelledError
-        }
+  fault::FaultPlan plan;
+  plan.hang_keys = {"3"};
+  const fault::FaultInjector injector(plan);
+  const auto out =
+      par::supervise(pool, 8, 1, [&](std::size_t i, int) -> int {
+        const std::string key = std::to_string(i);
+        if (injector.should_hang(key))
+          injector.hang(Clock::now() + std::chrono::milliseconds(30));
         return static_cast<int>(i);
       });
   ASSERT_EQ(out.failures.size(), 1u);
@@ -127,29 +116,25 @@ TEST(Supervisor, DeadlineCancelsHangingJob) {
 
 TEST(Supervisor, NonRetryableStopsSweepAndRethrows) {
   par::ThreadPool pool(2);
-  par::Supervisor supervisor(pool, fast_config(3));
   std::atomic<int> calls_at_five{0};
-  EXPECT_THROW(
-      supervisor.run(200,
-                     [&](std::size_t i, par::CancelToken&, int) -> int {
-                       if (i == 5) {
-                         ++calls_at_five;
-                         throw fault::InjectedAbort("injected crash");
-                       }
-                       return 0;
-                     }),
-      fault::InjectedAbort);
+  EXPECT_THROW(par::supervise(pool, 200, 3,
+                              [&](std::size_t i, int) -> int {
+                                if (i == 5) {
+                                  ++calls_at_five;
+                                  throw fault::InjectedAbort("injected crash");
+                                }
+                                return 0;
+                              }),
+               fault::InjectedAbort);
   // Fatal errors are never retried.
   EXPECT_EQ(calls_at_five.load(), 1);
 }
 
 TEST(Supervisor, LogicErrorIsFatalNotQuarantined) {
   par::ThreadPool pool(2);
-  par::Supervisor supervisor(pool, fast_config(3));
   std::atomic<int> calls{0};
-  EXPECT_THROW(supervisor.run(20,
-                              [&](std::size_t i, par::CancelToken&,
-                                  int) -> int {
+  EXPECT_THROW(par::supervise(pool, 20, 3,
+                              [&](std::size_t i, int) -> int {
                                 if (i == 2) {
                                   ++calls;
                                   throw std::logic_error("programming bug");
@@ -162,41 +147,27 @@ TEST(Supervisor, LogicErrorIsFatalNotQuarantined) {
 
 TEST(Supervisor, ConfigValidateRejectsBadValues) {
   par::ThreadPool pool(0);
-  par::SupervisorConfig config;
-  config.max_attempts = 0;
-  EXPECT_THROW(par::Supervisor(pool, config)
-                   .run(1, [](std::size_t, par::CancelToken&, int) {
-                     return 0;
-                   }),
-               std::runtime_error);
-  config = {};
-  config.backoff_base = std::chrono::milliseconds(10);
-  config.backoff_cap = std::chrono::milliseconds(5);
-  EXPECT_THROW(par::Supervisor(pool, config)
-                   .run(1, [](std::size_t, par::CancelToken&, int) {
-                     return 0;
-                   }),
-               std::runtime_error);
+  for (const int max_attempts : {0, 101}) {
+    EXPECT_THROW(par::supervise(pool, 1, max_attempts,
+                                [](std::size_t, int) { return 0; }),
+                 std::runtime_error)
+        << max_attempts;
+  }
 }
 
-// A watchdog-style cancel *during* a failed attempt is cleared before the
-// retry, so a transient timeout still gets its retry.
+// A deadline that ends one attempt is that attempt's alone: the retry runs
+// and its result counts.
 TEST(Supervisor, AttemptTimeCancelStillRetries) {
   par::ThreadPool pool(2);
-  par::Supervisor supervisor(pool, fast_config(2));
   std::atomic<int> calls{0};
-  const auto out = supervisor.run(
-      1, [&](std::size_t, par::CancelToken& token, int attempt) -> int {
-        ++calls;
-        if (attempt == 1) {
-          token.cancel();  // as the watchdog would on a deadline
-          throw par::CancelledError();
-        }
-        EXPECT_FALSE(token.cancelled()) << "retry started with a stale cancel";
-        return 7;
-      });
+  const auto out = par::supervise(pool, 1, 2, [&](std::size_t, int attempt) {
+    ++calls;
+    if (attempt == 1) throw util::DeadlineExceeded();
+    return 7;
+  });
   EXPECT_EQ(calls.load(), 2);
   ASSERT_TRUE(out.all_ok());
+  EXPECT_EQ(out.retried_attempts, 1u);
   EXPECT_EQ(*out.results[0], 7);
 }
 
@@ -253,17 +224,13 @@ TEST(Fault, HangKeysHangOnEveryAttempt) {
   EXPECT_FALSE(injector.should_hang("other"));
 }
 
-TEST(Fault, HangUnwindsWhenTokenCancelled) {
+TEST(Fault, HangUnwindsAtItsDeadline) {
   fault::FaultPlan plan;
   plan.hang_keys = {"k"};
   const fault::FaultInjector injector(plan);
-  par::CancelToken token;
-  std::thread canceller([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    token.cancel();
-  });
-  EXPECT_THROW(injector.hang(token), par::CancelledError);
-  canceller.join();
+  const auto deadline = Clock::now() + std::chrono::milliseconds(20);
+  EXPECT_THROW(injector.hang(deadline), util::DeadlineExceeded);
+  EXPECT_GE(Clock::now(), deadline);
 }
 
 TEST(Fault, AbortAfterCountsCompletions) {

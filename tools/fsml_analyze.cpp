@@ -59,7 +59,8 @@ int usage() {
       "            --load-model=FILE (load + verify an existing model file\n"
       "                          instead of training; corrupt or mismatched\n"
       "                          files are rejected with exit 1)\n"
-      "            --resume     (continue an interrupted collection from\n"
+      "            --resume     (continue an interrupted collection, or\n"
+      "                          one that quarantined cells, from\n"
       "                          CACHE.journal instead of starting over)\n"
       "            --retries=N  (attempts per collection job, default 3)\n"
       "            --reduced    (small grid, ~3 s instead of ~20 s)\n"
@@ -164,7 +165,7 @@ int cmd_train(const util::Cli& cli) {
 
   core::CollectOptions options;
   options.resume = cli.get_bool("resume", false);
-  options.supervision.max_attempts =
+  options.max_attempts =
       static_cast<int>(cli.get_int_in("retries", 3, 1, 100));
 
   // Deterministic fault injection (CI crash-resume smoke, failure drills).
@@ -194,7 +195,8 @@ int cmd_train(const util::Cli& cli) {
   if (!report.quarantined.empty())
     std::fprintf(stderr,
                  "warning: %zu collection cell(s) quarantined; the model was "
-                 "trained without them\n",
+                 "trained without them and no cache was written (rerun with "
+                 "--resume to collect them)\n",
                  report.quarantined.size());
   std::printf("trained on %zu instances; model -> %s\n\n%s",
               data.instances.size(), out.c_str(),
